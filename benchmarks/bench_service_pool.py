@@ -3,7 +3,7 @@
 Times the same ``check_batch`` run over the ``examples/fg`` corpus under
 the two process-isolation modes, plus the same corpus through a warm
 ``fg serve`` daemon.  The subprocess wall pays one interpreter spawn per
-attempt; the pool spawns ``pool_workers`` prelude-warmed processes once
+attempt; the pool spawns ``pool_workers`` warmed-up processes once
 per batch and reuses them; the daemon keeps that pool alive *across*
 batches, so ``serve.warm_request`` measures the fully amortized
 steady-state cost — the three rows are the whole isolation trade-off

@@ -32,7 +32,6 @@ Subpackages:
 
 from repro.fg import (
     evaluate as _fg_evaluate,
-    translate as _fg_translate,
     typecheck as _fg_typecheck,
     verify_translation as _fg_verify,
 )
@@ -49,24 +48,22 @@ __version__ = "1.0.0"
 
 def fg_check(program: str, use_prelude: bool = False):
     """Typecheck an F_G source program; returns its F_G type."""
-    term = _parse(program, use_prelude)
-    fg_type, _ = _fg_typecheck(term)
-    return fg_type
+    return _fg_typecheck(parse_fg(program), prefix=_prelude(use_prelude))[0]
 
 
 def fg_translate(program: str, use_prelude: bool = False):
     """Translate an F_G source program to a System F term."""
-    return _fg_translate(_parse(program, use_prelude))
+    return _fg_typecheck(parse_fg(program), prefix=_prelude(use_prelude))[1]
 
 
 def fg_run(program: str, use_prelude: bool = False):
     """Typecheck, translate, and evaluate an F_G source program."""
-    return _fg_evaluate(_parse(program, use_prelude))
+    return _fg_evaluate(parse_fg(program), prefix=_prelude(use_prelude))
 
 
 def fg_verify(program: str, use_prelude: bool = False):
     """Run the executable Theorem 1/2 check on an F_G source program."""
-    return _fg_verify(_parse(program, use_prelude))
+    return _fg_verify(parse_fg(program), prefix=_prelude(use_prelude))
 
 
 def fg_check_all(program: str, use_prelude: bool = False, **options):
@@ -82,12 +79,13 @@ def fg_check_all(program: str, use_prelude: bool = False, **options):
     return check_source(program, prelude=use_prelude, **options)
 
 
-def _parse(program: str, use_prelude: bool):
-    if use_prelude:
-        from repro import prelude
+def _prelude(use_prelude: bool):
+    """The checked prelude (:mod:`repro.prelude.checked`), when asked for."""
+    if not use_prelude:
+        return None
+    from repro.prelude.checked import checked_prelude
 
-        return prelude.parse(program)
-    return parse_fg(program)
+    return checked_prelude()
 
 
 __all__ = [

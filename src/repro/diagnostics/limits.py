@@ -165,6 +165,17 @@ class Budget:
     def leave_depth(self) -> None:
         self._depth -= 1
 
+    @property
+    def depth(self) -> int:
+        """The current checker nesting depth."""
+        return self._depth
+
+    def resume_depth(self, depth: int, peak_depth: int) -> None:
+        """Continue metering from ``depth`` — the hole of a checked
+        declaration prefix whose own nesting peaked at ``peak_depth``."""
+        self._depth = depth
+        self.peak_depth = max(self.peak_depth, peak_depth)
+
     # -- evaluator fuel ---------------------------------------------------
 
     def spend_fuel(self, span=None) -> None:

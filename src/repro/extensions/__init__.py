@@ -27,6 +27,7 @@ from repro.extensions import ast
 from repro.extensions.checker import ExtChecker
 from repro.fg import ast as G
 from repro.fg.env import Env
+from repro.fg.typecheck import Prefix
 from repro.syntax import parse_fg
 from repro.systemf import ast as F
 from repro.systemf import evaluate as _sf_evaluate
@@ -37,19 +38,21 @@ def typecheck(
     term: G.Term,
     env: Optional[Env] = None,
     *,
+    prefix: Optional[Prefix] = None,
     limits: Optional[Limits] = None,
     instrumentation=None,
 ) -> Tuple[G.FGType, F.Term]:
     """Typecheck an extended-F_G term; returns type and translation."""
     checker = ExtChecker(limits=limits, instrumentation=instrumentation)
     with resource_scope(checker.limits, getattr(term, "span", None)):
-        return checker.check(term, env if env is not None else Env.initial())
+        return checker.check_program(term, env, prefix)
 
 
 def typecheck_all(
     term: G.Term,
     env: Optional[Env] = None,
     *,
+    prefix: Optional[Prefix] = None,
     max_errors: int = 20,
     limits: Optional[Limits] = None,
     reporter: Optional[DiagnosticReporter] = None,
@@ -60,8 +63,8 @@ def typecheck_all(
     from repro.fg.typecheck import _run_collecting
 
     return _run_collecting(
-        ExtChecker, term, env, max_errors=max_errors, limits=limits,
-        reporter=reporter, instrumentation=instrumentation,
+        ExtChecker, term, env, prefix=prefix, max_errors=max_errors,
+        limits=limits, reporter=reporter, instrumentation=instrumentation,
     )
 
 
@@ -73,43 +76,46 @@ def translate(term: G.Term, env: Optional[Env] = None) -> F.Term:
     return typecheck(term, env)[1]
 
 
-def evaluate(term: G.Term, env: Optional[Env] = None, *, limits=None):
+def evaluate(term: G.Term, env: Optional[Env] = None, *, limits=None,
+             prefix: Optional[Prefix] = None):
     """Run an extended-F_G program via its System F translation."""
-    _, sf_term = typecheck(term, env, limits=limits)
+    _, sf_term = typecheck(term, env, prefix=prefix, limits=limits)
     return _sf_evaluate(sf_term, limits=limits)
 
 
-def verify_translation(term: G.Term, env: Optional[Env] = None):
-    """Theorem 1/2 check for the extended language: re-check the image."""
+def verify_translation(term: G.Term, env: Optional[Env] = None, *,
+                       prefix: Optional[Prefix] = None):
+    """Theorem 1/2 check for the extended language: re-check the image
+    (the whole program's, with ``prefix``)."""
     checker = ExtChecker()
-    base_env = env if env is not None else Env.initial()
     with resource_scope(checker.limits, getattr(term, "span", None)):
-        fg_type, sf_term = checker.check(term, base_env)
+        fg_type, sf_term = checker.check_program(term, env, prefix)
         sf_type = _sf_type_of(sf_term)
     return fg_type, sf_type
 
 
 def check(program: str, use_prelude: bool = False) -> G.FGType:
     """Typecheck extended-F_G source; returns the program type."""
-    return type_of(_parse(program, use_prelude))
+    return typecheck(parse_fg(program), prefix=_prelude(use_prelude))[0]
 
 
 def run(program: str, use_prelude: bool = False):
     """Typecheck, translate, and evaluate extended-F_G source."""
-    return evaluate(_parse(program, use_prelude))
+    return evaluate(parse_fg(program), prefix=_prelude(use_prelude))
 
 
 def verify(program: str, use_prelude: bool = False):
     """Translation-preserves-typing check on extended-F_G source."""
-    return verify_translation(_parse(program, use_prelude))
+    return verify_translation(parse_fg(program), prefix=_prelude(use_prelude))
 
 
-def _parse(program: str, use_prelude: bool) -> G.Term:
-    if use_prelude:
-        from repro.prelude import wrap
+def _prelude(use_prelude: bool) -> Optional[Prefix]:
+    """The prelude checked by :class:`ExtChecker`, when asked for."""
+    if not use_prelude:
+        return None
+    from repro.prelude.checked import checked_prelude
 
-        return parse_fg(wrap(program))
-    return parse_fg(program)
+    return checked_prelude(ext=True)
 
 
 __all__ = [

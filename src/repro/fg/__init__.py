@@ -30,15 +30,18 @@ from repro.fg.typecheck import (
 )
 
 
-def evaluate(term: ast.Term, env: Optional[Env] = None, *, limits=None):
+def evaluate(term: ast.Term, env: Optional[Env] = None, *, limits=None,
+             prefix=None):
     """Run an F_G program: translate to System F and evaluate the image.
 
     This *is* the paper's semantics for F_G — meaning is assigned by the
-    translation (section 4).
+    translation (section 4).  With ``prefix`` (a checked declaration
+    prefix such as the prelude) the whole program runs, ``term`` in its
+    hole.
     """
     from repro.systemf import evaluate as sf_evaluate
 
-    _, sf_term = typecheck(term, env, limits=limits)
+    _, sf_term = typecheck(term, env, prefix=prefix, limits=limits)
     return sf_evaluate(sf_term, limits=limits)
 
 

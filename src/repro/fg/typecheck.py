@@ -82,6 +82,61 @@ def _poison_term(span=None) -> F.Term:
     return F.Tuple_(span=span, items=())
 
 
+def _let_chain(lets, body: F.Term) -> F.Term:
+    """Wrap ``body`` in ``let name = bound in`` for each ``(name, bound,
+    span)`` binding, outermost first."""
+    for name, bound, span in reversed(lets):
+        body = F.Let(span=span, name=name, bound=bound, body=body)
+    return body
+
+
+@dataclass(frozen=True)
+class ScopeFrame:
+    """A concept or model declaration enclosing a :class:`Prefix`'s hole.
+
+    ``concept`` names the declared concept of a concept frame and is
+    ``None`` for a model frame; ``outer``/``inner`` are the environments
+    outside and inside the declaration.
+    """
+
+    concept: Optional[str]
+    outer: Env
+    inner: Env
+
+
+@dataclass(frozen=True)
+class Prefix:
+    """A checked declaration prefix with a hole where a program goes.
+
+    Concepts and models are lexically scoped expressions, so a library (the
+    prelude) is a chain of declarations whose innermost body is the user's
+    program.  A prefix records everything checking a program in that hole
+    needs (see :meth:`Checker.check_program`).  It is immutable —
+    environments are persistent — so one prefix serves any number of
+    checks, from any number of threads.
+    """
+
+    #: The environment the prefix itself was checked under.
+    base: Env
+    #: The environment at the hole.
+    env: Env
+    #: The next fresh-name index at the hole, so names minted for the
+    #: program never reuse a prefix dictionary name.
+    counter: int
+    #: Checker depth at the hole, and the deepest nesting inside the prefix.
+    depth: int
+    peak_depth: int
+    #: Enclosing concept/model declarations, outermost first.
+    frames: Tuple[ScopeFrame, ...]
+    #: The prefix's translation as ``(name, bound, span)`` bindings,
+    #: outermost first; the program's translation is their body.
+    lets: Tuple[Tuple[str, F.Term, object], ...]
+
+    def plug(self, body: F.Term) -> F.Term:
+        """The whole program's translation, with ``body`` in the hole."""
+        return _let_chain(self.lets, body)
+
+
 @dataclass
 class WhereResult:
     """Outcome of elaborating a where clause (the paper's ``bw``)."""
@@ -609,6 +664,67 @@ class Checker:
         finally:
             self._budget.leave_depth()
 
+    def check_program(
+        self, term: G.Term, env: Optional[Env] = None,
+        prefix: Optional[Prefix] = None,
+    ) -> Tuple[G.FGType, F.Term]:
+        """Type and translation of ``term`` as a whole program.
+
+        Without ``prefix`` this is :meth:`check` under ``env`` (default: the
+        initial environment).  With ``prefix``, ``term`` is checked in the
+        prefix's hole: fresh names and the depth budget continue from the
+        hole, the enclosing declarations' scope-exit checks are replayed on
+        the result type innermost first (reported at ``term``'s span), and
+        the translation is the whole program's, with ``term``'s plugged in.
+        """
+        if prefix is None:
+            return self.check(term, env if env is not None else Env.initial())
+        self._counter = itertools.count(prefix.counter)
+        self._budget.resume_depth(prefix.depth, prefix.peak_depth)
+        fg_type, sf = self.check(term, prefix.env)
+        for frame in reversed(prefix.frames):
+            if frame.concept is None:
+                fg_type = self._exit_model(
+                    fg_type, frame.outer, frame.inner, term.span
+                )
+            else:
+                fg_type = self._exit_concept(
+                    frame.concept, fg_type, frame.inner, term.span
+                )
+        return fg_type, prefix.plug(sf)
+
+    def check_prefix(self, term: G.Term, env: Env) -> Tuple[Prefix, G.Term]:
+        """Check the declaration spine of ``term``, stopping at the hole.
+
+        The spine is the chain of ``concept``/``model``/``let`` declarations
+        whose bodies nest; the first body that is not one of them is the
+        hole.  Each declaration is checked exactly as :meth:`check` would;
+        returns the :class:`Prefix` and the (unchecked) term in the hole.
+        """
+        base = env
+        frames: List[ScopeFrame] = []
+        lets: List[Tuple[str, F.Term, object]] = []
+        while isinstance(term, (G.ConceptExpr, G.ModelExpr, G.Let)):
+            self._budget.enter_depth(term.span)
+            if isinstance(term, G.ConceptExpr):
+                inner = self._enter_concept(term, env)
+                frames.append(ScopeFrame(term.concept.name, env, inner))
+            elif isinstance(term, G.ModelExpr):
+                inner, model_lets = self._enter_model(term, env)
+                frames.append(ScopeFrame(None, env, inner))
+                lets.extend(model_lets)
+            else:
+                bound_type, bound_sf = self.check(term.bound, env)
+                inner = env.bind_var(term.name, bound_type)
+                lets.append((term.name, bound_sf, term.span))
+            env, term = inner, term.body
+        prefix = Prefix(
+            base=base, env=env, counter=next(self._counter),
+            depth=self._budget.depth, peak_depth=self._budget.peak_depth,
+            frames=tuple(frames), lets=tuple(lets),
+        )
+        return prefix, term
+
     def _check_recover(self, term: G.Term, env: Env) -> Tuple[G.FGType, F.Term]:
         """Check a definition; in recovery mode, poison it on type error.
 
@@ -895,6 +1011,15 @@ class Checker:
         return self._check_concept_inner(term, env)
 
     def _check_concept_inner(self, term: G.ConceptExpr, env: Env):
+        inner = self._enter_concept(term, env)
+        body_type, body_sf = self.check(term.body, inner)
+        return (
+            self._exit_concept(term.concept.name, body_type, inner, term.span),
+            body_sf,
+        )
+
+    def _enter_concept(self, term: G.ConceptExpr, env: Env) -> Env:
+        """Validate a concept declaration; the environment of its body."""
         cdef = term.concept
         if self._reporter is not None:
             try:
@@ -908,16 +1033,20 @@ class Checker:
                 # unknown-concept errors.
         else:
             self._validate_concept(cdef, env, term.span)
-        inner = env.add_concept(cdef)
-        body_type, body_sf = self.check(term.body, inner)
+        return env.add_concept(cdef)
+
+    def _exit_concept(
+        self, name: str, body_type: G.FGType, inner: Env, span
+    ) -> G.FGType:
+        """Leave a concept's scope: the body type must not mention it."""
         body_type = self.rep(body_type, inner)
-        if cdef.name in G.concept_names(body_type):
+        if name in G.concept_names(body_type):
             raise TypeError_(
-                f"concept '{cdef.name}' escapes its scope in the result "
+                f"concept '{name}' escapes its scope in the result "
                 f"type {body_type}",
-                term.span,
+                span,
             )
-        return body_type, body_sf
+        return body_type
 
     def _validate_concept(self, cdef: G.ConceptDef, env: Env, span) -> None:
         if env.lookup_concept(cdef.name) is not None:
@@ -978,6 +1107,26 @@ class Checker:
         return self._check_model_inner(term, env)
 
     def _check_model_inner(self, term: G.ModelExpr, env: Env):
+        entered = self._enter_model(term, env)
+        if entered is None:
+            # The concept itself is unknown; without its shape we cannot
+            # fake a model, so check the body as-is.
+            return self.check(term.body, env)
+        inner, lets = entered
+        body_type, body_sf = self.check(term.body, inner)
+        return (
+            self._exit_model(body_type, env, inner, term.span),
+            _let_chain(lets, body_sf),
+        )
+
+    def _enter_model(self, term: G.ModelExpr, env: Env):
+        """Elaborate a model declaration for its body.
+
+        Returns ``(inner, lets)``: the body's environment and the
+        ``(name, bound, span)`` bindings, outermost first, that put the
+        dictionary in scope of the body's translation.  ``None`` when a
+        recovered failure left no model to register.
+        """
         if self._reporter is None:
             elaborated = self._elaborate_model(term.model, env, term.span)
         else:
@@ -989,21 +1138,20 @@ class Checker:
                     raise _ErrorLimit() from None
                 elaborated = self._poison_model(term.model, env, term.span)
                 if elaborated is None:
-                    # The concept itself is unknown; without its shape we
-                    # cannot fake a model, so check the body as-is.
-                    return self.check(term.body, env)
+                    return None
         info, equalities, bindings, dictionary = elaborated
         inner = env.add_model(info).add_equalities(equalities)
-        body_type, body_sf = self.check(term.body, inner)
-        # The result type must make sense outside the model's scope.
+        lets = [(var, bound, term.span) for var, bound in bindings]
+        lets.append((info.dict_var, dictionary, term.span))
+        return inner, lets
+
+    def _exit_model(
+        self, body_type: G.FGType, env: Env, inner: Env, span
+    ) -> G.FGType:
+        """Leave a model's scope: the result type must make sense outside."""
         result_type = self.rep(body_type, inner)
-        self.check_type_wf(result_type, env, term.span)
-        out: F.Term = F.Let(
-            span=term.span, name=info.dict_var, bound=dictionary, body=body_sf
-        )
-        for var, bound in reversed(bindings):
-            out = F.Let(span=term.span, name=var, bound=bound, body=out)
-        return result_type, out
+        self.check_type_wf(result_type, env, span)
+        return result_type
 
     def _poison_model(self, mdef: G.ModelDef, env: Env, span):
         """A placeholder elaboration for a model that failed to check.
@@ -1268,6 +1416,7 @@ def typecheck(
     term: G.Term,
     env: Optional[Env] = None,
     *,
+    prefix: Optional[Prefix] = None,
     limits: Optional[Limits] = None,
     instrumentation: Optional[Instrumentation] = None,
 ) -> Tuple[G.FGType, F.Term]:
@@ -1275,18 +1424,20 @@ def typecheck(
 
     Fail-fast: raises the *first* :class:`TypeError_` encountered.  Use
     :func:`typecheck_all` to keep going and collect every diagnostic.
-    ``instrumentation`` (off by default) records spans/metrics/explain —
-    see :mod:`repro.observability`.
+    ``prefix`` checks ``term`` in the hole of a checked declaration prefix
+    (see :meth:`Checker.check_program`).  ``instrumentation`` (off by
+    default) records spans/metrics/explain — see :mod:`repro.observability`.
     """
     checker = Checker(limits=limits, instrumentation=instrumentation)
     with resource_scope(checker.limits, getattr(term, "span", None)):
-        return checker.check(term, env if env is not None else Env.initial())
+        return checker.check_program(term, env, prefix)
 
 
 def typecheck_all(
     term: G.Term,
     env: Optional[Env] = None,
     *,
+    prefix: Optional[Prefix] = None,
     max_errors: int = 20,
     limits: Optional[Limits] = None,
     reporter: Optional[DiagnosticReporter] = None,
@@ -1302,8 +1453,8 @@ def typecheck_all(
     recovery point, and are only trustworthy when ``report.ok``.
     """
     return _run_collecting(
-        Checker, term, env, max_errors=max_errors, limits=limits,
-        reporter=reporter, instrumentation=instrumentation,
+        Checker, term, env, prefix=prefix, max_errors=max_errors,
+        limits=limits, reporter=reporter, instrumentation=instrumentation,
     )
 
 
@@ -1312,6 +1463,7 @@ def _run_collecting(
     term: G.Term,
     env: Optional[Env],
     *,
+    prefix: Optional[Prefix] = None,
     max_errors: int,
     limits: Optional[Limits],
     reporter: Optional[DiagnosticReporter],
@@ -1323,12 +1475,11 @@ def _run_collecting(
     checker = checker_cls(
         reporter=reporter, limits=limits, instrumentation=instrumentation
     )
-    base_env = env if env is not None else Env.initial()
     result_type: Optional[G.FGType] = None
     sf_term: Optional[F.Term] = None
     try:
         with resource_scope(checker.limits, getattr(term, "span", None)):
-            result_type, sf_term = checker.check(term, base_env)
+            result_type, sf_term = checker.check_program(term, env, prefix)
     except _ErrorLimit:
         pass
     except (TypeError_, ResourceLimitError) as err:
@@ -1351,7 +1502,8 @@ def translate(term: G.Term, env: Optional[Env] = None) -> F.Term:
 
 
 def verify_translation(
-    term: G.Term, env: Optional[Env] = None
+    term: G.Term, env: Optional[Env] = None, *,
+    prefix: Optional[Prefix] = None,
 ) -> Tuple[G.FGType, F.Type]:
     """Executable Theorems 1 and 2: translate, then independently re-check.
 
@@ -1359,14 +1511,19 @@ def verify_translation(
     over the image, and confirms the System F type matches the translation
     of the F_G type.  Returns the pair of types.  Raises
     :class:`TypeError_` if any step fails — which the theorems say cannot
-    happen for well-typed input.
+    happen for well-typed input.  With ``prefix`` the image re-checked is
+    the whole program's: the prefix's translation with ``term``'s plugged
+    into its hole.
     """
     checker = Checker()
-    base_env = env if env is not None else Env.initial()
+    if prefix is not None:
+        outer = prefix.base
+    else:
+        outer = env if env is not None else Env.initial()
     with resource_scope(checker.limits, getattr(term, "span", None)):
-        fg_type, sf_term = checker.check(term, base_env)
+        fg_type, sf_term = checker.check_program(term, env, prefix)
         sf_type = sf_typecheck.type_of(sf_term)
-        expected = checker.translate_type(fg_type, base_env)
+        expected = checker.translate_type(fg_type, outer)
     if not F.types_equal(sf_type, expected):
         raise TypeError_(
             "translation type mismatch (Theorem 1/2 violation — library "

@@ -123,7 +123,8 @@ class CheckOutcome:
     ``term``/``type_``/``translation`` are best-effort partial results and
     are only trustworthy when ``ok``; ``value`` is set when evaluation was
     requested and succeeded, ``verified`` when the Theorem 1/2 re-check was
-    requested and passed.
+    requested and passed.  Under the prelude, ``term`` is the program as
+    written and ``translation`` the whole program's, prelude included.
     """
 
     report: DiagnosticReport
@@ -182,6 +183,10 @@ def check_source(
     Never raises a :class:`Diagnostic`: all of them land in the returned
     outcome's report.  Any other exception escaping this function is a bug.
 
+    With ``prelude`` only ``text`` is parsed; it is checked against the
+    prelude checked once per process (:mod:`repro.prelude.checked`), so
+    diagnostics carry ``text``'s own line numbers.
+
     When ``instrumentation`` is passed (see :mod:`repro.observability`),
     every stage runs under a tracer span, stage wall times and checker/
     evaluator metrics are snapshotted into ``outcome.stats``, and — with
@@ -234,10 +239,6 @@ def _run_stages(
 
     memory = instrumentation.memory if instrumentation is not None else None
     reporter = DiagnosticReporter(max_errors=max_errors)
-    if prelude:
-        from repro.prelude import wrap
-
-        text = wrap(text)
     _maybe_fault("parse")
     try:
         # The parser recurses on nesting depth; the scope converts a stack
@@ -261,8 +262,16 @@ def _run_stages(
     else:
         from repro.fg.typecheck import typecheck_all
     with _stage("check", tracer, timings, memory):
+        prefix = None
+        if prelude:
+            # The program is checked in the hole of the prelude, which is
+            # checked once per process; the translation is the whole
+            # program's.
+            from repro.prelude.checked import checked_prelude
+
+            prefix = checked_prelude(ext, instrumentation)
         type_, translation, _ = typecheck_all(
-            term, limits=limits, reporter=reporter,
+            term, prefix=prefix, limits=limits, reporter=reporter,
             instrumentation=instrumentation,
         )
     outcome = CheckOutcome(
@@ -281,12 +290,9 @@ def _run_stages(
             with _stage("verify", tracer, timings, memory):
                 if ext:
                     from repro.extensions import verify_translation
-
-                    verify_translation(term)
                 else:
                     from repro.fg.typecheck import verify_translation
-
-                    verify_translation(term)
+                verify_translation(term, prefix=prefix)
             verified = True
         except Diagnostic as err:
             reporter.error(err)

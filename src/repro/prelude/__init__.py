@@ -1,9 +1,15 @@
-"""Prelude loading: wrap user programs with the standard concept library.
+"""The standard concept library, in scope of user programs.
 
 Usage::
 
     from repro import prelude
     value = prelude.run("accumulate[int](range(1, 11))")   # => 55
+
+:func:`typecheck`, :func:`type_of` and :func:`run` check the program
+against the prelude checked once per process
+(:mod:`repro.prelude.checked`).  :func:`wrap` and :func:`parse` build the
+textual whole program — prelude source, then the program — for tools that
+need one term, such as the direct F_G interpreter.
 """
 
 from typing import Tuple
@@ -33,8 +39,11 @@ def parse(program: str, filename: str = "<input>") -> G.Term:
 
 
 def typecheck(program: str) -> Tuple[G.FGType, F.Term]:
-    """Typecheck (and translate) ``program`` in the scope of the prelude."""
-    return _typecheck(parse(program))
+    """Typecheck ``program`` in the scope of the prelude; returns its type
+    and the whole program's translation."""
+    from repro.prelude.checked import checked_prelude
+
+    return _typecheck(parse_fg(program), prefix=checked_prelude())
 
 
 def type_of(program: str) -> G.FGType:

@@ -3,8 +3,9 @@
 ``--isolate=subprocess`` (PR 5) pays for crash containment with a fresh
 interpreter per attempt.  This module keeps the containment and drops the
 cost: a supervisor forks ``pool_workers`` persistent children *once* (each
-imports the pipeline and pre-checks the prelude at spawn, so warm attempts
-skip that cost), then feeds them over the framed pipe protocol
+imports the pipeline and, for a prelude batch, checks the prelude at spawn,
+so prelude tasks check only their own program), then feeds them over the
+framed pipe protocol
 (:mod:`repro.service.proto`) from per-worker deques with work stealing.
 
 **Failure domains.**  A task that merely raises is contained *inside* the

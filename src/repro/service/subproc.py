@@ -10,10 +10,10 @@ stream).  The parent (:func:`repro.service.worker.run_attempt_subprocess`)
 enforces the deadline by killing this process.
 
 **Persistent** (``--serve``; spawned by :mod:`repro.service.pool`): the
-worker warms up once — imports the whole pipeline and pre-checks the
-prelude so warm attempts skip that cost — then loops over framed tasks on
-a dedicated task pipe, writing framed results and periodic heartbeats to
-a dedicated result pipe.  A heartbeat thread keeps ticking while a task
+worker warms up once — imports the whole pipeline and checks the prelude
+once for the process, so prelude tasks check only their own program — then
+loops over framed tasks on a dedicated task pipe, writing framed results
+and periodic heartbeats to a dedicated result pipe.  A heartbeat thread keeps ticking while a task
 runs, so the supervisor can tell "busy" from "wedged".  Exceptions inside
 a task are contained *by the worker* (a structured ``"crash"`` result;
 the worker survives for the next task); only process-killing faults —
@@ -146,12 +146,16 @@ def _run_task_inner(payload, limits, faults, instrumentation, telemetry,
 
 
 def warm_up(prelude: bool, ext: bool) -> float:
-    """Import the pipeline and pre-check a trivial prelude program.
+    """Import the pipeline and check a trivial program with the worker's
+    ``prelude``/``ext`` flags.
 
     Run once at worker spawn so every later attempt starts warm: module
-    imports, the parser tables, and — with ``prelude=True`` — a full parse
-    and typecheck of the standard concept library.  Returns the wall time
-    in ms; never raises (a failing warm-up just means cold attempts).
+    imports, the parser tables, and — with ``prelude=True`` — the prelude,
+    which that first check checks once for the process
+    (:func:`repro.prelude.checked.checked_prelude`) for the worker's
+    checker; every prelude task then checks only its own program.  Returns
+    the wall time in ms; never raises (a failing warm-up just means cold
+    attempts).
     """
     start = time.perf_counter()
     try:

@@ -26,8 +26,9 @@ Subcommands::
                          the traceback (--serve-socket pulls a live one)
     fg debug bundle      force a crash bundle out of a live daemon
 
-``--prelude`` wraps the program with the standard concept library and ``-e``
-takes the program from the command line instead of a file.
+``--prelude`` checks the program in the scope of the standard concept
+library (itself checked once per process) and ``-e`` takes the program from
+the command line instead of a file.
 
 The driver is fault-tolerant: parse and type errors are collected (up to
 ``--max-errors``) instead of stopping at the first one, ``--fuel``/``--depth``
@@ -1289,7 +1290,8 @@ def main(argv=None) -> int:
     )
     batch.add_argument(
         "--prelude", action="store_true",
-        help="wrap each program with the standard concept library",
+        help="check each program in the scope of the standard concept "
+        "library",
     )
     batch.add_argument(
         "--ext", action="store_true",
@@ -1427,7 +1429,8 @@ def main(argv=None) -> int:
     )
     serve.add_argument(
         "--prelude", action="store_true",
-        help="wrap each program with the standard concept library",
+        help="check each program in the scope of the standard concept "
+        "library",
     )
     serve.add_argument(
         "--ext", action="store_true",
@@ -1511,7 +1514,8 @@ def main(argv=None) -> int:
     )
     cli.add_argument(
         "--prelude", action="store_true",
-        help="wrap each program with the standard concept library",
+        help="check each program in the scope of the standard concept "
+        "library",
     )
     cli.add_argument(
         "--ext", action="store_true",
@@ -1616,7 +1620,8 @@ def main(argv=None) -> int:
         cmd.add_argument(
             "--prelude",
             action="store_true",
-            help="wrap the program with the standard concept library",
+            help="check the program in the scope of the standard concept "
+            "library",
         )
         cmd.add_argument(
             "--ext",

@@ -61,6 +61,8 @@ class Repl:
     """REPL state: accumulated declarations plus mode flags."""
 
     use_ext: bool = False
+    #: ``:prelude`` puts the declarations in the prelude's scope.
+    prelude: bool = False
     decls: List[str] = field(default_factory=list)
     fuel: Optional[int] = None
     max_errors: int = 20
@@ -82,11 +84,23 @@ class Repl:
     def _program(self, expr: str) -> str:
         return "\n".join(self.decls + [expr])
 
+    def _typecheck(self, text: str, instrumentation):
+        """Type and whole-program translation of ``text`` (under the
+        checked prelude once ``:prelude`` ran)."""
+        prefix = None
+        if self.prelude:
+            from repro.prelude.checked import checked_prelude
+
+            prefix = checked_prelude(self.use_ext)
+        return self._checker_module().typecheck(
+            parse_fg(text, "<repl>"), prefix=prefix,
+            instrumentation=instrumentation,
+        )
+
     def _check(self, expr: str, tracer=None):
-        term = parse_fg(self._program(expr), "<repl>")
         inst = Instrumentation(metrics=self.metrics) if tracer is None else \
             Instrumentation(tracer=tracer, metrics=self.metrics)
-        return self._checker_module().typecheck(term, instrumentation=inst)
+        return self._typecheck(self._program(expr), inst)
 
     # -- the interface ---------------------------------------------------------
 
@@ -181,10 +195,7 @@ class Repl:
             candidate = text if ends_with_in else text + " in"
             # Validate by checking a trivial body under the new prefix.
             probe = "\n".join(self.decls + [candidate, "0"])
-            term = parse_fg(probe, "<repl>")
-            self._checker_module().typecheck(
-                term, instrumentation=Instrumentation(metrics=self.metrics)
-            )
+            self._typecheck(probe, Instrumentation(metrics=self.metrics))
             self.decls.append(candidate)
             return f"-- declared ({first_word})"
         tracer = None
@@ -227,8 +238,8 @@ class Repl:
             from repro.pipeline import check_source
 
             outcome = check_source(
-                self._program(arg), "<repl>", ext=self.use_ext,
-                max_errors=self.max_errors,
+                self._program(arg), "<repl>", prelude=self.prelude,
+                ext=self.use_ext, max_errors=self.max_errors,
             )
             if outcome.ok:
                 return "-- no errors"
@@ -241,8 +252,8 @@ class Repl:
 
             log = ExplainLog()
             outcome = check_source(
-                self._program(arg), "<repl>", ext=self.use_ext,
-                max_errors=self.max_errors,
+                self._program(arg), "<repl>", prelude=self.prelude,
+                ext=self.use_ext, max_errors=self.max_errors,
                 instrumentation=Instrumentation(
                     metrics=self.metrics, explain=log
                 ),
@@ -263,8 +274,8 @@ class Repl:
 
             tracer, memory = Tracer(), MemoryAccountant()
             outcome = check_source(
-                self._program(arg), "<repl>", ext=self.use_ext,
-                max_errors=self.max_errors, evaluate=True,
+                self._program(arg), "<repl>", prelude=self.prelude,
+                ext=self.use_ext, max_errors=self.max_errors, evaluate=True,
                 instrumentation=Instrumentation(
                     tracer=tracer, metrics=self.metrics, memory=memory,
                 ),
@@ -306,16 +317,16 @@ class Repl:
                 return "usage: :maxerrors N"
             return f"-- max errors: {self.max_errors}"
         if command == ":decls":
-            if not self.decls:
+            shown = (["-- prelude loaded"] if self.prelude else []) + self.decls
+            if not shown:
                 return "-- no declarations"
-            return "\n".join(self.decls)
+            return "\n".join(shown)
         if command == ":clear":
             self.decls = []
+            self.prelude = False
             return "-- cleared"
         if command == ":prelude":
-            from repro.prelude import PRELUDE
-
-            self.decls.insert(0, PRELUDE)
+            self.prelude = True
             return "-- prelude loaded"
         if command == ":ext":
             self.use_ext = not self.use_ext

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from repro.observability import Instrumentation, MetricsRegistry
 from repro.service import (
     BatchPolicy,
     FaultSchedule,
@@ -49,6 +50,21 @@ class TestPoolBasics:
         assert report.pool["workers"] == 2
         assert report.pool["respawns"] == 0
         assert not report.pool["degraded"]
+
+    def test_warmed_worker_checks_no_prelude_in_its_tasks(self):
+        # Warm-up checks the prelude once per worker, so no task builds it
+        # (the in-process path counts a build, see the prelude tests).
+        inst = Instrumentation(metrics=MetricsRegistry())
+        items = [("a.fg", "square[int](3)"), ("b.fg", "accumulate")]
+        for ext in (False, True):
+            report = check_batch(
+                items, pool_policy(pool_workers=1, prelude=True, ext=ext),
+                instrumentation=inst,
+            )
+            assert [f.status for f in report.files] == ["ok", "diagnostics"]
+        counters = inst.metrics.snapshot()["counters"]
+        assert counters["model_lookup.attempts"] >= 2  # telemetry arrived
+        assert "prelude.snapshot_builds" not in counters
 
     def test_pool_caps_workers_at_the_task_count(self):
         report = check_batch([("one.fg", TINY)], pool_policy(pool_workers=8))

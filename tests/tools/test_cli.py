@@ -178,6 +178,20 @@ class TestJsonOutput:
         assert second["line"] == 2
         assert [d["line"] for d in diags] == sorted(d["line"] for d in diags)
 
+    def test_prelude_diagnostics_use_the_program_lines(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "u.fg"
+        path.write_text("let a = iadd(1, true) in\naccumulate[bool](a)")
+        code, out, err = run_cli(capsys, "check", "--prelude", str(path))
+        assert code == EXIT_DIAGNOSTICS
+        assert err.splitlines()[0].startswith(f"{path}:1:17: type error:")
+        code, out, _ = run_cli(
+            capsys, "check", "--prelude", "--json", str(path)
+        )
+        lines = [(d["line"], d["col"]) for d in json.loads(out)["diagnostics"]]
+        assert lines == [(1, 17), (2, 11)]
+
     def test_json_success_payload(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--json", "-e", "iadd(1, 2)")
         assert code == EXIT_OK

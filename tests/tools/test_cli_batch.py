@@ -123,6 +123,22 @@ class TestBatchReportOutput:
         broken = [f for f in blob["files"] if f["status"] == "diagnostics"]
         assert broken and broken[0]["diagnostics"]
 
+    def test_prelude_diagnostics_use_the_program_lines(
+        self, capsys, corpus
+    ):
+        code, out, _ = run_cli(
+            capsys, "batch", str(corpus / "broken.fg"), "--prelude",
+            "--json",
+        )
+        assert code == EXIT_DIAGNOSTICS
+        (outcome,) = json.loads(out)["files"]
+        assert [(d["line"], d["col"]) for d in outcome["diagnostics"]] == [
+            (1, 9)
+        ]
+        assert outcome["rendered"].startswith(
+            f"{corpus / 'broken.fg'}:1:9: type error:"
+        )
+
     def test_json_stats_key_present_only_when_asked(self, capsys, corpus):
         _, out, _ = run_cli(capsys, "batch", str(corpus), "--json")
         assert "stats" not in json.loads(out)

@@ -77,6 +77,17 @@ class TestCommands:
         repl.feed(":prelude")
         assert repl.feed("accumulate[int](range(1, 4))") == "6 : int"
 
+    def test_prelude_errors_use_the_session_lines(self, repl):
+        repl.feed(":prelude")
+        repl.feed(":prelude")  # idempotent: no duplicate concepts
+        repl.feed("let one = 1")
+        assert repl.feed(":errors iadd(one, true)").startswith(
+            "<repl>:2:11: type error: argument 2"
+        )
+        assert repl.feed(":decls") == "-- prelude loaded\nlet one = 1 in"
+        repl.feed(":clear")
+        assert repl.feed(":decls") == "-- no declarations"
+
     def test_ext_toggle(self, repl):
         assert "extensions on" in repl.feed(":ext")
         repl.feed("concept Eq<t> { eq : fn(t, t) -> bool; "

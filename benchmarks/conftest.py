@@ -1,36 +1,29 @@
-"""Benchmark fixtures: pre-parsed programs shared across benchmark files.
+"""Benchmark fixtures, and the one writer of bench records.
 
 After a benchmark session, :func:`pytest_sessionfinish` writes a versioned
 bench record (``BENCH_<tag>.json``, tag from ``$BENCH_TAG`` or today's
-date) at the repo root via :mod:`repro.observability.regress` — the same
-writer ``fg bench`` uses, so the two artifacts cannot drift.  The record
+date) at the repo root via :mod:`repro.observability.regress`.  The record
 holds per-benchmark wall-time statistics (from pytest-benchmark, when it
 ran), the daemon telemetry rows (``serve.warm_request`` traced vs.
 untraced plus ``serve.stats_request``, timed against a live pool-backed
-daemon), plus one instrumented ``check_source`` run of the Figure 5
-program:
-its metrics snapshot records what the pipeline *did* (model lookups,
-congruence work, eval steps), the profiler records where the time went,
-and the memory accountant records peak bytes per stage.  ``fg bench
---compare`` turns two such records into a regression verdict (the CI perf
-gate).
+daemon), the flight-recorder overhead rows, plus two observed
+``check_source`` runs of the Figure 5 program: the first, with the memory
+accountant off, gives the metrics snapshot (what the pipeline *did* and
+its stage timings) and the profile (where the time went); the second,
+with the accountant's tracemalloc on, gives only the peak bytes per stage,
+so its overhead never inflates a timing.  ``fg bench --compare OLD NEW``
+turns two such records into a regression verdict (the CI perf gate).
 
 Recursion headroom is scoped (``resource_scope``), never a module-level
 ``sys.setrecursionlimit`` — PR 1 removed every permanent limit bump.
 """
 
-import os
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
-
-
-def _bench_tag() -> str:
-    return os.environ.get("BENCH_TAG") or time.strftime("%Y%m%d")
 
 
 @pytest.fixture(autouse=True)
@@ -72,12 +65,12 @@ def _benchmark_rows(session):
     return rows
 
 
-def _instrumented_snapshot():
-    """One fully observed Figure 5 run: metrics + profile + peak memory."""
+def _observed_run(memory):
+    """One observed Figure 5 check, evaluated and verified; returns the
+    outcome and the instrumentation it ran under."""
     from repro.diagnostics.limits import resource_scope
     from repro.observability import (
-        ExplainLog, Instrumentation, MemoryAccountant, MetricsRegistry,
-        Tracer, profile_tracer,
+        ExplainLog, Instrumentation, MetricsRegistry, Tracer,
     )
     from repro.pipeline import check_source
 
@@ -85,7 +78,7 @@ def _instrumented_snapshot():
 
     inst = Instrumentation(
         tracer=Tracer(), metrics=MetricsRegistry(), explain=ExplainLog(),
-        memory=MemoryAccountant(),
+        memory=memory,
     )
     # Scoped recursion headroom for the deep cons chain (no process-wide
     # setrecursionlimit side effect).
@@ -93,11 +86,21 @@ def _instrumented_snapshot():
         outcome = check_source(
             figure5(64), evaluate=True, verify=True, instrumentation=inst
         )
+    return outcome, inst
+
+
+def _instrumented_snapshot():
+    """Metrics and profile from a pass without the memory accountant,
+    peak memory per stage from a second pass with it."""
+    from repro.observability import MemoryAccountant, profile_tracer
+
+    outcome, inst = _observed_run(memory=None)
+    _, accounted = _observed_run(memory=MemoryAccountant())
     return {
         "ok": outcome.ok,
         "metrics": outcome.stats,
         "profile": profile_tracer(inst.tracer).to_json(),
-        "memory_peak_kb": inst.memory.peaks_kb(),
+        "memory_peak_kb": accounted.memory.peaks_kb(),
         "spans": len(inst.tracer),
         "model_resolutions": len(outcome.explain),
     }
@@ -105,8 +108,8 @@ def _instrumented_snapshot():
 
 def _serve_rows():
     """Daemon telemetry rows (``serve.warm_request`` traced vs. untraced,
-    ``serve.stats_request``) so the committed record prices the PR-8
-    observability surface alongside the pytest-benchmark rows."""
+    ``serve.stats_request``) so the committed record prices the daemon
+    and its observability surface alongside the pytest-benchmark rows."""
     from repro.observability.regress import serve_benchmark_rows
 
     try:
@@ -133,10 +136,10 @@ def _flightrec_rows():
 
 def pytest_sessionfinish(session, exitstatus):
     from repro.observability.regress import (
-        build_record, record_path, write_record,
+        build_record, default_tag, record_path, write_record,
     )
 
-    tag = _bench_tag()
+    tag = default_tag()
     try:
         snapshot = _instrumented_snapshot()
         record = build_record(

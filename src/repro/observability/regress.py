@@ -1,24 +1,16 @@
 """Bench-trajectory records and the performance regression gate.
 
-``BENCH_<tag>.json`` files used to be written once and never read.  This
-module gives them a versioned schema and a memory: a **bench record** is
-one run's benchmark medians, deterministic metrics snapshot, hot-path
-profile, and per-stage peak memory, stamped with schema/version/git
-metadata; :func:`compare_records` pairs two records by benchmark name and
-turns the median deltas into a verdict table (``ok`` / ``regressed`` /
-``improved`` / ``new`` / ``missing``) with a noise threshold, which the
-``fg bench --compare`` subcommand and the CI perf gate translate into an
-exit code.
-
-Producers of the record shape:
-
-- ``benchmarks/conftest.py`` — the pytest-benchmark session writer;
-- ``fg bench`` — :func:`run_bench_suite`, a self-contained suite over the
-  paper's two algorithmic hot paths (congruence closure, §4, and
-  dictionary-passing translation, §5) plus the crash-resilience fuzzer's
-  per-iteration timings (:func:`fuzz_benchmark_row`);
-- :func:`build_record` — the one constructor both go through, so the two
-  writers cannot drift.
+A **bench record** (``BENCH_<tag>.json``) is one run's benchmark medians,
+deterministic metrics snapshot, hot-path profile, and per-stage peak
+memory, stamped with schema/version/git metadata.  The one producer is the
+``benchmarks/`` pytest session (``benchmarks/conftest.py``), which builds
+its record with :func:`build_record` and adds the daemon and
+flight-recorder rows from :func:`serve_benchmark_rows` and
+:func:`flightrec_benchmark_rows`.  :func:`compare_records` pairs two
+records by benchmark name and turns the median deltas into a verdict table
+(``ok`` / ``regressed`` / ``improved`` / ``new`` / ``missing``) with a
+noise threshold, which ``fg bench --compare OLD NEW`` and the CI perf gate
+translate into an exit code.
 
 Everything is standard library only; the comparator never imports the
 pipeline, so it stays importable in a bare CI step.
@@ -300,7 +292,7 @@ def compare_records(
 
 
 # ---------------------------------------------------------------------------
-# The built-in suite behind ``fg bench``
+# Row producers for the benchmarks/ session
 # ---------------------------------------------------------------------------
 
 
@@ -327,44 +319,8 @@ def _figure5(n: int) -> str:
     """
 
 
-def _congruence_src(chains: int) -> str:
-    """Same-type constraint chains: the congruence-closure hot path (§4)."""
-    vars_ = [f"t{i}" for i in range(chains)]
-    eqs = ", ".join(f"t{i} == t{i + 1}" for i in range(chains - 1))
-    wheres = ", ".join(f"Eq<{v}>" for v in vars_)
-    apps = ", ".join("int" for _ in vars_)
-    return rf"""
-    concept Eq<t> {{ eq : fn(t, t) -> bool; }} in
-    model Eq<int> {{ eq = ieq; }} in
-    let chain = /\{", ".join(vars_)} where {wheres}, {eqs}.
-      \x : t0. \y : t{chains - 1}. Eq<t0>.eq(x, y) in
-    chain[{apps}](1)(1)
-    """
-
-
-def fuzz_benchmark_row(fuzz_stats: Dict[str, object],
-                       name: str = "fuzz.iteration") -> Dict[str, object]:
-    """A benchmark row from :func:`repro.testing.run_fuzz` timing output.
-
-    The fuzzer times every mutant's trip through the pipeline; its
-    ``stats["timing"]`` summary feeds the same record shape as any other
-    benchmark, so fuzz throughput rides the same regression gate.
-    """
-    timing = fuzz_stats.get("timing") or {}
-    return {
-        "name": name,
-        "group": "fuzz",
-        "rounds": fuzz_stats.get("mutants", 0),
-        "mean_s": timing.get("iter_mean_s"),
-        "median_s": timing.get("iter_median_s"),
-        "stddev_s": timing.get("iter_stddev_s"),
-        "min_s": timing.get("iter_min_s"),
-        "max_s": timing.get("iter_max_s"),
-    }
-
-
-def _isolation_corpus() -> List[Tuple[str, str]]:
-    """The ``examples/fg`` corpus for the isolation-mode comparison.
+def _examples_corpus() -> List[Tuple[str, str]]:
+    """The ``examples/fg`` corpus the daemon rows send.
 
     Falls back to synthetic Figure 5 programs when the checkout's example
     directory is absent (installed-package runs), so the benchmark names
@@ -381,56 +337,16 @@ def _isolation_corpus() -> List[Tuple[str, str]]:
     return [(f"fig5_{n}.fg", _figure5(n)) for n in (4, 8, 16, 24, 32, 48)]
 
 
-def isolation_benchmark_rows(
-    rounds: int,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[Dict[str, object]]:
-    """Time the same batch under subprocess vs pool isolation.
+def serve_benchmark_rows(rounds: int) -> List[Dict[str, object]]:
+    """Time a warm ``fg serve`` round trip over the ``examples/fg`` corpus.
 
-    The pair of rows is the pool's reason to exist in one number: the
-    subprocess wall pays one interpreter spawn *per attempt*, the pool
-    pays ``pool_workers`` spawns *per batch* and reuses the warm workers.
-    Both run the ``examples/fg`` corpus with parallelism 2 and no fault
-    schedule, so the delta is pure isolation overhead.
-    """
-    from repro.service import BatchPolicy, RetryPolicy, check_batch
-
-    items = _isolation_corpus()
-    rows: List[Dict[str, object]] = []
-    for name, overrides in (
-        ("batch.isolate_subprocess", {"isolate": "subprocess"}),
-        ("batch.isolate_pool", {"isolate": "pool", "pool_workers": 2}),
-    ):
-        policy = BatchPolicy(
-            jobs=2, deadline_ms=30_000.0,
-            retry=RetryPolicy(max_retries=0), **overrides,
-        )
-        if progress:
-            progress(f"bench {name} ({rounds} rounds, "
-                     f"{len(items)} files)")
-
-        def run(policy: BatchPolicy = policy) -> None:
-            check_batch(items, policy)
-
-        rows.append(_timed_row(name, "isolation", run, rounds))
-    return rows
-
-
-def serve_benchmark_rows(
-    rounds: int,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[Dict[str, object]]:
-    """Time a warm ``fg serve`` round trip against the isolation corpus.
-
-    ``batch.isolate_pool`` pays ``pool_workers`` interpreter spawns *per
-    batch*; the daemon pays them once per lifetime.  This row times a full
-    client round trip (connect, frame, check on the already-warm pool,
-    response) against the same corpus and policy, so the pair
-    ``serve.warm_request`` vs ``batch.isolate_pool`` is the daemon's
-    amortization argument in one comparison.  One unmeasured warm-up
+    ``serve.warm_request`` times a full client round trip (connect, frame,
+    check on the already-warm two-worker pool, response); the daemon pays
+    its interpreter spawns once per lifetime, so this is the amortized
+    steady-state cost of a pool-backed check.  One unmeasured warm-up
     request runs first so every measured round hits warm workers.
 
-    Three companion rows price the PR-8 telemetry: ``serve.stats_request``
+    Two companion rows price the daemon telemetry: ``serve.stats_request``
     times the memory-only live-stats probe (it must stay orders of
     magnitude under a batch round trip — it is served on the accept
     loop), and ``serve.warm_request_traced`` repeats the round trip
@@ -455,7 +371,7 @@ def serve_benchmark_rows(
         stats,
     )
 
-    items = _isolation_corpus()
+    items = _examples_corpus()
     rows: List[Dict[str, object]] = []
     for name, instrumented in (
         ("serve.warm_request", False),
@@ -480,9 +396,6 @@ def serve_benchmark_rows(
                 raise RuntimeError("bench daemon never became ready")
             try:
                 check_remote(options.socket_path, items, timeout=120.0)
-                if progress:
-                    progress(f"bench {name} ({rounds} rounds, "
-                             f"{len(items)} files)")
 
                 def run() -> None:
                     response = check_remote(
@@ -492,27 +405,19 @@ def serve_benchmark_rows(
 
                 rows.append(_timed_row(name, "isolation", run, rounds))
                 if not instrumented:
-                    stats_rounds = rounds * 10
-                    if progress:
-                        progress(f"bench serve.stats_request "
-                                 f"({stats_rounds} rounds)")
-
                     def probe() -> None:
                         snapshot = stats(options.socket_path, timeout=30.0)
                         assert snapshot.get("type") == "stats", snapshot
 
                     rows.append(_timed_row("serve.stats_request", "serve",
-                                           probe, stats_rounds))
+                                           probe, rounds * 10))
             finally:
                 request_shutdown(options.socket_path)
                 thread.join(timeout=30.0)
     return rows
 
 
-def flightrec_benchmark_rows(
-    rounds: int,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[Dict[str, object]]:
+def flightrec_benchmark_rows(rounds: int) -> List[Dict[str, object]]:
     """Time an instrumented check with the flight recorder on vs ring 0.
 
     ``flightrec.overhead`` runs with the default ring capacity (every
@@ -551,8 +456,6 @@ def flightrec_benchmark_rows(
         ("flightrec.overhead", flightrec.FlightRecorder()),
         ("flightrec.baseline_ring0", NullFlightRecorder()),
     ):
-        if progress:
-            progress(f"bench {name} ({rounds} rounds)")
         rows.append(_timed_row(name, "flightrec", checked(rec), rounds))
     return rows
 
@@ -574,83 +477,3 @@ def _timed_row(name: str, group: str, fn: Callable[[], None],
         "min_s": min(samples),
         "max_s": max(samples),
     }
-
-
-def run_bench_suite(
-    *,
-    rounds: int = 5,
-    fuzz_mutants: int = 25,
-    isolation_rounds: int = 2,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
-    """The self-contained ``fg bench`` suite over the paper's hot paths.
-
-    Returns ``(benchmark_rows, instrumented)`` where ``instrumented`` has
-    the one fully observed run's ``metrics``/``profile``/``memory_peak_kb``
-    for :func:`build_record`.  Deterministic work, wall-clock timings.
-    ``isolation_rounds`` controls the subprocess-vs-pool batch comparison
-    (:func:`isolation_benchmark_rows`) and the warm-daemon round trip
-    (:func:`serve_benchmark_rows`); both spawn real worker processes, so
-    ``0`` skips them.
-    """
-    from repro.diagnostics.limits import resource_scope
-    from repro.observability import (
-        Instrumentation, MemoryAccountant, MetricsRegistry, Tracer,
-    )
-    from repro.observability.profiler import profile_tracer
-    from repro.pipeline import check_source
-    from repro.testing import run_fuzz
-
-    fig5_check, fig5_eval = _figure5(16), _figure5(64)
-    congruence = _congruence_src(8)
-
-    def checked(src: str, **kw) -> None:
-        outcome = check_source(src, "<bench>", **kw)
-        assert outcome.ok, outcome.report.render()
-
-    cases: List[Tuple[str, str, Callable[[], None]]] = [
-        ("check.fig5_accumulate", "pipeline",
-         lambda: checked(fig5_check)),
-        ("translate.dictionary_passing", "pipeline",
-         lambda: checked(fig5_check, verify=True)),
-        ("evaluate.fig5_n64", "pipeline",
-         lambda: checked(fig5_eval, evaluate=True)),
-        ("congruence.same_type_chain", "congruence",
-         lambda: checked(congruence)),
-    ]
-    rows: List[Dict[str, object]] = []
-    with resource_scope():
-        for name, group, fn in cases:
-            if progress:
-                progress(f"bench {name} ({rounds} rounds)")
-            rows.append(_timed_row(name, group, fn, rounds))
-        rows.extend(flightrec_benchmark_rows(rounds, progress))
-        if fuzz_mutants > 0:
-            if progress:
-                progress(f"bench fuzz.iteration ({fuzz_mutants} mutants)")
-            rows.append(fuzz_benchmark_row(
-                run_fuzz(mutants=fuzz_mutants, seed=0, verify=False)
-            ))
-
-        # One fully observed run: metrics + hot-path profile + memory.
-        if progress:
-            progress("instrumented run (profile + memory accounting)")
-        inst = Instrumentation(
-            tracer=Tracer(), metrics=MetricsRegistry(),
-            memory=MemoryAccountant(),
-        )
-        outcome = check_source(
-            fig5_eval, "<bench>", evaluate=True, verify=True,
-            instrumentation=inst,
-        )
-    # Worker processes are spawned outside the resource scope: the rlimit
-    # fence is per-process policy, not something to time the pool against.
-    if isolation_rounds > 0:
-        rows.extend(isolation_benchmark_rows(isolation_rounds, progress))
-        rows.extend(serve_benchmark_rows(isolation_rounds, progress))
-    instrumented = {
-        "metrics": outcome.stats,
-        "profile": profile_tracer(inst.tracer).to_json(),
-        "memory_peak_kb": inst.memory.peaks_kb(),
-    }
-    return rows, instrumented

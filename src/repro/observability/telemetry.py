@@ -2,8 +2,8 @@
 rolling-window reservoirs, daemon telemetry, and the operational event log.
 
 The observability layer (tracer/metrics/explain) is process-local by
-design; isolation walls (``--isolate=subprocess|pool``) would otherwise
-swallow everything the worker saw.  This module is the bridge:
+design; isolation walls (the watchdog thread and ``--isolate=pool``)
+would otherwise swallow everything the worker saw.  This module is the bridge:
 
 - :func:`spans_to_wire` serializes a worker tracer's span forest into the
   JSON-safe list a result frame carries back;

@@ -22,7 +22,7 @@ worker running concurrently in another.  :func:`current_faults` /
 :func:`install_faults` move a fault table across a thread boundary on
 purpose (the batch service does this for its watchdogged workers), and
 :mod:`repro.service.faults` serializes declarative fault specs across the
-subprocess boundary for ``isolate="subprocess"`` workers.
+process boundary for ``isolate="pool"`` workers.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def current_faults() -> Dict[str, object]:
 def install_faults(faults: Optional[Dict[str, object]]):
     """Install a whole fault table in the current thread; restore on exit.
 
-    Worker threads (and the subprocess child entry point) run their task
+    Worker threads (and the pool worker entry point) run their task
     under this so faults injected by the coordinating thread — or shipped
     in a chaos schedule — fire inside the isolated worker.
     """

@@ -47,7 +47,6 @@ from repro.service.policy import BatchPolicy
 from repro.service.report import AttemptRecord, BatchReport, FileOutcome
 from repro.service.worker import (
     AttemptResult,
-    run_attempt_subprocess,
     run_attempt_thread,
     telemetry_request,
 )
@@ -77,7 +76,7 @@ def check_batch(
     Never raises for anything the *inputs* do; see the module docstring for
     the containment contract.  ``fault_schedule`` is the chaos hook —
     declarative injected faults replayed deterministically (and shipped to
-    subprocess workers as JSON).  Ambient :func:`~repro.pipeline.inject_fault`
+    pool workers as JSON).  Ambient :func:`~repro.pipeline.inject_fault`
     state from the calling thread is propagated into every worker attempt.
 
     ``pool`` is an optional :class:`~repro.service.pool.PersistentPool`
@@ -93,7 +92,7 @@ def check_batch(
     # up front rather than silently dropping an injected fault.
     serialized_ambient = (
         serialize_exception_faults(ambient)
-        if policy.isolate in ("subprocess", "pool") else None
+        if policy.isolate == "pool" else None
     )
     tracer = (
         instrumentation.tracer if instrumentation is not None else NULL_TRACER
@@ -131,7 +130,7 @@ def check_batch(
             for index, (filename, text) in enumerate(items):
                 outcomes[index] = _check_one(
                     index, filename, text, policy, ambient,
-                    serialized_ambient, fault_schedule, instrumentation,
+                    fault_schedule, instrumentation,
                 )
         else:
             with ThreadPoolExecutor(
@@ -140,7 +139,7 @@ def check_batch(
                 futures = {
                     pool.submit(
                         _check_one, index, filename, text, policy, ambient,
-                        serialized_ambient, fault_schedule, instrumentation,
+                        fault_schedule, instrumentation,
                     ): index
                     for index, (filename, text) in enumerate(items)
                 }
@@ -183,8 +182,7 @@ def check_batch(
     if crashed:
         # Crash forensics for the batch coordinator: one bundle per batch
         # that saw CrashReport outcomes (advisory; no-op without a
-        # configured --crash-dir / $FG_CRASH_DIR).  The recorder already
-        # holds any one-shot worker rings folded at receive time.
+        # configured --crash-dir / $FG_CRASH_DIR).
         from repro.observability import flightrec
 
         flightrec.dump("crash-report", {
@@ -220,17 +218,14 @@ def _check_one(
     text: str,
     policy: BatchPolicy,
     ambient: Dict[str, object],
-    serialized_ambient,
     schedule: Optional[FaultSchedule],
     instrumentation: Optional[Instrumentation] = None,
 ) -> FileOutcome:
     """The per-file retry loop: attempts → taxonomy → backoff → breaker.
 
-    Every attempt carries the coordinator's telemetry request across the
-    isolation wall and merges what the worker saw back under
-    :data:`_MERGE_LOCK`, so ``--stats``/``--explain``/``--trace`` are no
-    longer silently empty under ``--isolate=subprocess`` (or the thread
-    wall).
+    Every attempt runs on a watchdogged thread under its own fresh
+    instrumentation and merges what it saw back under :data:`_MERGE_LOCK`,
+    so ``--stats``/``--explain``/``--trace`` see every attempt.
     """
     telemetry = telemetry_request(instrumentation)
     check_kwargs = {
@@ -252,24 +247,15 @@ def _check_one(
             if schedule is not None else ()
         )
         send_ns = time.perf_counter_ns()
-        if policy.isolate == "subprocess":
-            result = run_attempt_subprocess(
-                text, filename, check_kwargs, serialized_ambient, specs,
-                schedule.hang_s if schedule is not None else 0.5,
-                policy.deadline_ms,
-                telemetry=telemetry,
-                max_mem_mb=policy.max_worker_mem_mb,
+        faults = dict(ambient)
+        for spec in specs:
+            faults[spec.stage] = spec.materialize(
+                schedule.hang_s if schedule is not None else 0.5
             )
-        else:
-            faults = dict(ambient)
-            for spec in specs:
-                faults[spec.stage] = spec.materialize(
-                    schedule.hang_s if schedule is not None else 0.5
-                )
-            result = run_attempt_thread(
-                text, filename, check_kwargs, faults, policy.deadline_ms,
-                telemetry=telemetry,
-            )
+        result = run_attempt_thread(
+            text, filename, check_kwargs, faults, policy.deadline_ms,
+            telemetry=telemetry,
+        )
         if result.telemetry is not None:
             with _MERGE_LOCK:
                 merge_worker_telemetry(

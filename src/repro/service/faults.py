@@ -17,8 +17,8 @@ retried.
 deterministic plan of injected faults — ``(file index × pipeline stage ×
 fault kind × attempt set)`` — layered over the thread-local
 :func:`repro.pipeline.inject_fault` hook.  Being plain data, a schedule
-crosses the subprocess boundary as JSON, so ``isolate="subprocess"``
-workers replay exactly the same faults.  The CLI accepts the compact text
+crosses the process boundary as JSON, so ``isolate="pool"`` workers
+replay exactly the same faults.  The CLI accepts the compact text
 form (``fg batch --chaos "1:check:crash,2:parse:hang"``) and the chaos
 harness (:func:`repro.testing.run_chaos`) derives schedules from a seed.
 """
@@ -44,7 +44,7 @@ FAULT_MEMORY = "memory"
 
 #: Injectable chaos kinds: ``crash`` raises inside the stage, ``hang``
 #: sleeps past the deadline, ``kill`` takes the whole worker down
-#: (``os._exit`` in a subprocess; a contained ``SystemExit`` in a thread),
+#: (``os._exit`` in a pool worker; a contained ``SystemExit`` in a thread),
 #: ``noise`` prints to stdout mid-stage — harmless by contract, because
 #: the result channel is framed on a shielded fd; it exists to prove that.
 #: ``memhog`` allocates until the worker's memory rlimit trips (raising
@@ -309,7 +309,7 @@ class FaultSchedule:
 def serialize_exception_faults(
     faults: Dict[str, object]
 ) -> List[Dict[str, str]]:
-    """Project a thread's fault table to JSON for a subprocess worker.
+    """Project a thread's fault table to JSON for a pool worker.
 
     Only exception instances cross the boundary (as type name + message);
     a callable fault has no portable representation — ship a declarative
@@ -334,7 +334,7 @@ def serialize_exception_faults(
 def deserialize_exception_faults(
     entries: List[Dict[str, str]]
 ) -> Dict[str, BaseException]:
-    """Rebuild a fault table in the subprocess child.
+    """Rebuild a fault table in the pool worker.
 
     Exception types resolve from builtins; anything else becomes a
     ``RuntimeError`` carrying the original type name in its message.

@@ -13,12 +13,11 @@ from typing import Dict, Optional
 from repro.diagnostics.limits import DEFAULT_LIMITS, Limits
 
 #: Worker isolation modes: ``"none"`` runs attempts on watchdogged daemon
-#: threads in-process; ``"subprocess"`` gives each attempt its own
-#: interpreter so even C-level faults and OOM kills are contained;
-#: ``"pool"`` keeps the process-level containment but amortizes the
-#: interpreter cost over a supervised pool of persistent, prelude-warmed
-#: workers (:mod:`repro.service.pool`).
-ISOLATION_MODES = ("none", "subprocess", "pool")
+#: threads in-process; ``"pool"`` runs them in a supervised pool of
+#: persistent, prelude-warmed worker processes (:mod:`repro.service.pool`),
+#: so even C-level faults and OOM kills are contained.  With
+#: ``recycle_after_tasks=1`` every attempt gets a fresh interpreter.
+ISOLATION_MODES = ("none", "pool")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Supervised persistent worker-process pool for the batch service.
 
-``--isolate=subprocess`` (PR 5) pays for crash containment with a fresh
-interpreter per attempt.  This module keeps the containment and drops the
-cost: a supervisor forks ``pool_workers`` persistent children *once* (each
-imports the pipeline and, for a prelude batch, checks the prelude at spawn,
-so prelude tasks check only their own program), then feeds them over the
-framed pipe protocol
-(:mod:`repro.service.proto`) from per-worker deques with work stealing.
+The process wall of ``isolate="pool"``: a supervisor forks
+``pool_workers`` persistent children *once* (each imports the pipeline
+and, for a prelude batch, checks the prelude at spawn, so prelude tasks
+check only their own program), then feeds them over the framed pipe
+protocol (:mod:`repro.service.proto`) from per-worker deques with work
+stealing.  ``recycle_after_tasks=1`` gives every attempt a fresh
+interpreter.
 
 **Failure domains.**  A task that merely raises is contained *inside* the
 worker (a structured ``"crash"`` result; the worker survives).  The
@@ -606,7 +606,7 @@ class _Supervisor:
                 target.proc.kill()
                 self._handle_worker_loss(target, salvage=False)
 
-    def _maybe_recycle(self, slot: _WorkerSlot) -> bool:
+    def _maybe_recycle(self, slot: _WorkerSlot) -> None:
         """Gracefully recycle an *idle* marked slot: polite shutdown, reap,
         respawn warm into the same seat.
 
@@ -617,8 +617,8 @@ class _Supervisor:
         to the ``max_respawns`` fault budget, because a recycle is the
         governor doing its job, not a worker loss.
         """
-        if not slot.recycle_pending or self._recycling is not None:
-            return False
+        if self._recycling is not None:
+            return
         self._recycling = slot.slot
         self.stats.recycles += 1
         self._emit(
@@ -640,7 +640,6 @@ class _Supervisor:
             # so the normal respawn/retire path (and its budget) applies.
             self._recycling = None
             self._handle_worker_loss(slot, salvage=False)
-        return True
 
     def _fill_idle(self) -> None:
         now = time.monotonic()
@@ -648,7 +647,12 @@ class _Supervisor:
             if (slot.retired or not slot.alive or not slot.warmed
                     or slot.current is not None):
                 continue
-            if self._maybe_recycle(slot):
+            if slot.recycle_pending:
+                # A marked seat takes no new task until it has recycled:
+                # the task cap and a burned heap both bind the process,
+                # not just the seat.  While another seat recycles, the
+                # stagger guard defers this one.
+                self._maybe_recycle(slot)
                 continue
             task = self._next_task(slot, now)
             if task is not None:
@@ -1033,9 +1037,9 @@ class PersistentPool:
     ``fg serve`` daemon.
 
     Each :meth:`run_batch` borrows the slots for one supervised batch
-    (losses, deadline kills, and respawns behave exactly as in one-shot
-    pool mode) and hands the surviving warm workers back.  Between
-    batches :meth:`ensure` revives dead or retired seats and
+    (losses, deadline kills, and respawns behave exactly as in
+    :func:`run_pool_batch`) and hands the surviving warm workers back.
+    Between batches :meth:`ensure` revives dead or retired seats and
     :meth:`flush` consumes idle chatter (heartbeats, late hellos) so the
     64 KiB pipe never fills while the daemon sits idle.
 

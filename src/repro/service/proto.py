@@ -1,9 +1,8 @@
-"""Length-prefixed JSON framing for worker-process result channels.
+"""Length-prefixed JSON framing for worker-process channels.
 
-The one-shot subprocess handshake used to be "one JSON document on
-stdout", which any stray ``print`` — from checked code, from a debugging
-statement left in the pipeline, from a C library — could corrupt.  This
-module replaces it with a real wire protocol:
+A bare "one JSON document per pipe" handshake is corrupted by any stray
+bytes on the channel.  This module gives the pool's task and result pipes
+(and the serve daemon's socket) a real wire protocol:
 
 - **Frames.**  Every message is ``MAGIC (4 bytes) + length (u32, big
   endian) + payload (UTF-8 JSON)``.  The magic starts with a byte that is
@@ -11,11 +10,10 @@ module replaces it with a real wire protocol:
   text output, and :func:`extract_frame` can resynchronize past garbage
   that landed on the channel before the frame.
 
-- **Channel hygiene.**  Worker entry points call :func:`shield_stdout`
-  first: the real stdout fd is duplicated for the protocol's private use
-  and fd 1 is redirected to stderr, so *anything* that writes to stdout
+- **Channel hygiene.**  The worker entry point calls :func:`shield_stdout`
+  first: fd 1 is redirected to stderr, so *anything* that writes to stdout
   afterwards — Python or C, pipeline or checked program — lands on stderr
-  instead of inside the result stream.
+  and never reaches a protocol pipe.
 
 - **Incremental parsing.**  The pool supervisor reads many workers' result
   pipes with non-blocking I/O; :class:`FrameReader` buffers partial reads
@@ -156,18 +154,14 @@ class FrameReader:
         return len(self._buffer)
 
 
-def shield_stdout() -> int:
-    """Claim the real stdout for the protocol; reroute fd 1 to stderr.
+def shield_stdout() -> None:
+    """Reroute fd 1 to stderr.
 
-    Returns a private duplicate of the original stdout fd — the result
-    channel.  After this call, any write to fd 1 / ``sys.stdout`` (a stray
-    ``print`` in checked code, a C-level write) goes to stderr and cannot
-    corrupt the framed result stream.
+    After this call, any write to fd 1 / ``sys.stdout`` (a stray ``print``
+    in checked code, a C-level write) goes to stderr and cannot reach a
+    protocol pipe.
     """
     import sys
 
-    result_fd = os.dup(1)
-    os.set_inheritable(result_fd, False)
     sys.stdout.flush()
     os.dup2(2, 1)
-    return result_fd

@@ -73,10 +73,11 @@ class CrashReport:
     """A contained worker death, attached to the file that caused it.
 
     ``where`` says which containment wall caught it: ``"worker"`` (the
-    in-process worker thread), ``"subprocess"`` (an isolated child died —
-    ``returncode`` carries its wait status, negative for a signal kill), or
-    ``"pool"`` (a persistent pool worker was lost with this attempt in
-    flight; the supervisor recorded it as the ``worker-lost`` fault).
+    attempt raised and the worker — an in-process thread or a pool worker
+    process — contained it), or ``"pool"`` (a persistent pool worker was
+    lost with this attempt in flight; the supervisor recorded it as the
+    ``worker-lost`` fault, and ``returncode`` carries the worker's wait
+    status, negative for a signal kill).
     """
 
     exc_type: str

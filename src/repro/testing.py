@@ -188,21 +188,12 @@ def run_fuzz(
     tracer, metrics, and explain log).  Instrumentation must be invisible
     to the language: the digest with ``trace=True`` equals the digest with
     ``trace=False`` (``tests/observability/test_fuzz_invariance.py``).
-
-    Every mutant's trip through the pipeline is also wall-clock timed and
-    summarized under ``stats["timing"]`` (total plus per-iteration
-    mean/median/stddev/min/max seconds) so fuzz throughput can feed the
-    bench-record regression gate
-    (:func:`repro.observability.regress.fuzz_benchmark_row`).
     """
     import hashlib
-    import statistics
-    import time
 
     from repro.pipeline import check_source
 
     rng = random.Random(seed)
-    iter_seconds: List[float] = []
     if limits is None:
         # Tight budgets keep pathological mutants fast while still proving
         # they surface as ResourceLimitError diagnostics.
@@ -224,7 +215,6 @@ def run_fuzz(
                 tracer=Tracer(), metrics=MetricsRegistry(),
                 explain=ExplainLog(),
             )
-        iter_start = time.perf_counter()
         try:
             outcome = check_source(
                 mutant,
@@ -241,7 +231,6 @@ def run_fuzz(
                 f"(fuzz seed={seed}, iteration={k}, trace={trace}, "
                 f"{type(exc).__name__}: {exc})\nmutant:\n{mutant}"
             ) from exc
-        iter_seconds.append(time.perf_counter() - iter_start)
         stats["mutants"] += 1
         if outcome.ok:
             stats["ok"] += 1
@@ -250,18 +239,6 @@ def run_fuzz(
         digest.update(outcome.report.render().encode("utf-8"))
         digest.update(b"\x00")
     stats["report_digest"] = digest.hexdigest()
-    if iter_seconds:
-        stats["timing"] = {
-            "total_s": sum(iter_seconds),
-            "iter_mean_s": statistics.fmean(iter_seconds),
-            "iter_median_s": statistics.median(iter_seconds),
-            "iter_stddev_s": (
-                statistics.stdev(iter_seconds)
-                if len(iter_seconds) > 1 else 0.0
-            ),
-            "iter_min_s": min(iter_seconds),
-            "iter_max_s": max(iter_seconds),
-        }
     return stats
 
 

@@ -8,8 +8,8 @@ Subcommands::
     fg verify FILE       run the executable Theorem 1/2 check
     fg runf FILE         typecheck and evaluate a *System F* program
     fg profile FILE      hot-path profile + per-stage peak memory for a run
-    fg bench             run the built-in benchmark suite; write/compare
-                         versioned BENCH_<tag>.json records
+    fg bench             compare two versioned BENCH_<tag>.json records
+                         (the perf gate)
     fg batch FILES...    check many files under the fault-isolated batch
                          service: worker pool, deadlines, retries,
                          crash containment, quarantine
@@ -49,21 +49,22 @@ entries, ship them back in the result frame, and the coordinator stitches
 them into one merged clock-normalized trace (one Chrome pid lane per
 worker process).
 
-``fg bench`` writes a versioned run record (benchmark medians, metrics,
-profile, memory — ``BENCH_<tag>.json``) and ``fg bench --compare OLD.json
-[NEW.json]`` renders a verdict table (ok/regressed/improved/new/missing),
-exiting 1 on regression — the CI perf gate.
+``fg bench --compare OLD.json NEW.json`` pairs two versioned run records
+(benchmark medians, metrics, profile, memory — ``BENCH_<tag>.json``, written
+by the ``benchmarks/`` pytest session) and renders a verdict table
+(ok/regressed/improved/new/missing), exiting 1 on regression — the CI perf
+gate.
 
 ``fg batch`` (see docs/DIAGNOSTICS.md for the report schema) runs many
 checks under ``repro.service``: ``--jobs N`` workers, ``--deadline-ms T``
 per-task watchdog, ``--retries K`` with a deterministic backoff schedule,
-``--isolate`` for worker processes that contain interpreter-killing
-failures (``subprocess`` = fresh interpreter per attempt; ``pool`` = a
-supervised pool of persistent prelude-warmed workers with heartbeats,
-respawn, and work stealing — ``--pool-workers``/``--max-respawns``), and a
-circuit breaker (``--quarantine-after N``).  ``--chaos`` injects a
-deterministic fault schedule and ``--kill-worker`` SIGKILLs pool workers
-mid-batch (the CI chaos-smoke hooks).
+``--isolate[=pool]`` for worker processes that contain interpreter-killing
+failures (a supervised pool of persistent prelude-warmed workers with
+heartbeats, respawn, and work stealing — ``--pool-workers``/
+``--max-respawns``; ``--recycle-after-tasks 1`` gives every attempt a fresh
+interpreter), and a circuit breaker (``--quarantine-after N``).
+``--chaos`` injects a deterministic fault schedule and ``--kill-worker``
+SIGKILLs pool workers mid-batch (the CI chaos-smoke hooks).
 
 Exit codes: **0** success, **1** the program has diagnostics, **2** usage
 error (bad flags, unreadable file), **3** internal error (a bug in this
@@ -407,71 +408,27 @@ def _run_runf(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace) -> int:
-    """``fg bench``: run/record the built-in suite and gate on trajectory."""
-    from pathlib import Path
-
+    """``fg bench --compare OLD NEW``: gate on the bench trajectory."""
     from repro.observability import regress
 
     compare = args.compare or []
-    if len(compare) > 2:
-        print("fg bench: --compare takes at most two records "
-              "(OLD.json [NEW.json])", file=sys.stderr)
+    if len(compare) != 2:
+        print("fg bench: --compare takes exactly two records "
+              "(OLD.json NEW.json)", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        old = regress.load_record(compare[0]) if compare else None
-    except (OSError, ValueError, json.JSONDecodeError) as err:
-        print(f"fg bench: cannot load {compare[0]}: {err}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if len(compare) == 2:
-        # Pure file-vs-file comparison: no benchmarks run.
+    records = []
+    for path in compare:
         try:
-            new = regress.load_record(compare[1])
+            records.append(regress.load_record(path))
         except (OSError, ValueError, json.JSONDecodeError) as err:
-            print(f"fg bench: cannot load {compare[1]}: {err}",
-                  file=sys.stderr)
+            print(f"fg bench: cannot load {path}: {err}", file=sys.stderr)
             return EXIT_USAGE
-        comparison = regress.compare_records(
-            old, new, threshold=args.threshold
-        )
-        if args.json:
-            print(json.dumps(comparison.to_json(), indent=2))
-        else:
-            print(comparison.render())
-        return comparison.exit_code
-
-    tag = args.tag or regress.default_tag()
-    progress = None if args.json else (
-        lambda msg: print(f"-- {msg}", file=sys.stderr)
-    )
-    rows, instrumented = regress.run_bench_suite(
-        rounds=args.rounds, fuzz_mutants=args.fuzz_mutants,
-        isolation_rounds=args.isolation_rounds,
-        progress=progress,
-    )
-    record = regress.build_record(tag, rows, **instrumented)
-    out_path = Path(args.out) if args.out else \
-        regress.record_path(tag, Path.cwd())
-    regress.write_record(record, out_path)
-
-    payload = {"record": str(out_path), "tag": tag, "benchmarks": rows}
-    comparison = None
-    if old is not None:
-        comparison = regress.compare_records(
-            old, record, threshold=args.threshold
-        )
-        payload["comparison"] = comparison.to_json()
+    comparison = regress.compare_records(*records, threshold=args.threshold)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(comparison.to_json(), indent=2))
     else:
-        print(f"-- wrote {out_path}")
-        for row in rows:
-            median = row.get("median_s")
-            rendered = f"{median * 1e3:.3f}ms" if median else "-"
-            print(f"   {row['name']:<42} median {rendered}")
-        if comparison is not None:
-            print(comparison.render())
-    return comparison.exit_code if comparison is not None else EXIT_OK
+        print(comparison.render())
+    return comparison.exit_code
 
 
 def _collect_batch_files(paths) -> list:
@@ -1148,15 +1105,13 @@ def main(argv=None) -> int:
     sub.add_parser("repl", help="start an interactive F_G session")
     bench = sub.add_parser(
         "bench",
-        help="run the built-in benchmark suite, write a versioned "
-        "BENCH_<tag>.json record, and/or compare records (perf gate)",
+        help="compare two versioned BENCH_<tag>.json records (perf gate)",
     )
     bench.add_argument(
         "--compare",
         nargs="+",
         metavar="RECORD",
-        help="compare against RECORD (runs the suite first), or compare "
-        "two records OLD.json NEW.json without running; exits 1 on "
+        help="the OLD.json and NEW.json records to compare; exits 1 on "
         "regression",
     )
     bench.add_argument(
@@ -1167,31 +1122,8 @@ def main(argv=None) -> int:
         help="regression threshold as a median ratio (default 1.5)",
     )
     bench.add_argument(
-        "--rounds", type=int, default=5, metavar="N",
-        help="timing rounds per benchmark (default 5)",
-    )
-    bench.add_argument(
-        "--fuzz-mutants", type=int, default=25, metavar="N",
-        help="mutants for the fuzz-throughput benchmark (default 25; "
-        "0 disables it)",
-    )
-    bench.add_argument(
-        "--isolation-rounds", type=int, default=2, metavar="N",
-        help="rounds for the subprocess-vs-pool batch isolation "
-        "comparison over examples/fg (default 2; 0 skips it — it spawns "
-        "real worker processes)",
-    )
-    bench.add_argument(
-        "--tag", default=None,
-        help="record tag (default: $BENCH_TAG, else today's date)",
-    )
-    bench.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="record output path (default BENCH_<tag>.json in the cwd)",
-    )
-    bench.add_argument(
         "--json", action="store_true",
-        help="emit the record summary and verdict table as JSON",
+        help="emit the verdict table as JSON",
     )
     batch = sub.add_parser(
         "batch",
@@ -1227,13 +1159,13 @@ def main(argv=None) -> int:
         "failures (default 3)",
     )
     batch.add_argument(
-        "--isolate", nargs="?", const="subprocess", default=None,
-        choices=["subprocess", "pool"], metavar="MODE",
+        "--isolate", nargs="?", const="pool", default=None,
+        choices=["pool"], metavar="MODE",
         help="contain interpreter-killing failures (C-level faults, OOM "
-        "kills) in worker processes: 'subprocess' (the default when the "
-        "flag is bare) forks a fresh interpreter per attempt; 'pool' "
+        "kills) in worker processes: 'pool' (also the bare flag) "
         "supervises persistent prelude-warmed workers with heartbeats, "
-        "respawn on worker loss, and work stealing",
+        "respawn on worker loss, and work stealing; add "
+        "--recycle-after-tasks 1 for a fresh interpreter per attempt",
     )
     batch.add_argument(
         "--pool-workers", type=int, default=2, metavar="N",
@@ -1264,7 +1196,8 @@ def main(argv=None) -> int:
     batch.add_argument(
         "--recycle-after-tasks", type=int, default=None, metavar="N",
         help="pool-mode task cap per worker process: recycle a worker "
-        "after it completes N tasks (leak hygiene for long batches)",
+        "after it completes N tasks (leak hygiene for long batches; 1 "
+        "gives every attempt a fresh interpreter)",
     )
     batch.add_argument(
         "--verify", action="store_true",

@@ -1,7 +1,9 @@
 """Bench records, the trajectory comparator, and the ``fg bench`` gate."""
 
 import copy
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -131,21 +133,6 @@ class TestComparator:
         assert [r.name for r in comparison.rows] == ["check"]
 
 
-class TestFuzzRow:
-    def test_run_fuzz_timing_feeds_record(self):
-        from repro.testing import run_fuzz
-
-        stats = run_fuzz(mutants=6, seed=0, verify=False)
-        timing = stats["timing"]
-        assert timing["total_s"] > 0
-        assert timing["iter_min_s"] <= timing["iter_median_s"] \
-            <= timing["iter_max_s"]
-        row = regress.fuzz_benchmark_row(stats)
-        assert row["name"] == "fuzz.iteration"
-        assert row["rounds"] == 6
-        assert row["median_s"] == timing["iter_median_s"]
-
-
 class TestCliGate:
     """Acceptance: exit 0 on identical records, 1 past threshold, JSON
     round-trips the verdict table."""
@@ -202,57 +189,64 @@ class TestCliGate:
         assert main(["bench", "--compare", a, a, a]) == EXIT_USAGE
         capsys.readouterr()
 
-    def test_bench_run_writes_record_and_compares(self, tmp_path, capsys,
-                                                  monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code = main([
-            "bench", "--rounds", "1", "--fuzz-mutants", "0",
-            "--isolation-rounds", "0", "--tag", "t1", "--json",
-        ])
-        assert code == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
-        record_file = tmp_path / "BENCH_t1.json"
-        assert record_file.exists()
-        assert payload["tag"] == "t1"
-        record = regress.load_record(record_file)
-        names = {row["name"] for row in record["benchmarks"]}
-        assert "check.fig5_accumulate" in names
-        assert "congruence.same_type_chain" in names
-        assert record["profile"]["hotspots"]
-        assert {"parse", "check"} <= set(record["memory_peak_kb"])
-        # Second run compared against the first: identical machine,
-        # generous threshold — but all we assert structurally is that a
-        # comparison is produced with every benchmark paired.
-        code = main([
-            "bench", "--rounds", "1", "--fuzz-mutants", "0",
-            "--isolation-rounds", "0", "--tag", "t2",
-            "--compare", str(record_file), "--threshold", "1000",
-        ])
-        out = capsys.readouterr().out
-        assert code == EXIT_OK
-        assert "bench trajectory: t1 -> t2" in out
-        assert (tmp_path / "BENCH_t2.json").exists()
+    def test_a_single_record_is_usage_error(self, tmp_path, capsys):
+        # fg bench only compares two records; it runs nothing itself.
+        a = self._write(tmp_path, "a.json", _record("a", {"x": 0.01}))
+        assert main(["bench", "--compare", a]) == EXIT_USAGE
+        assert "exactly two records" in capsys.readouterr().err
+        assert main(["bench"]) == EXIT_USAGE
+        capsys.readouterr()
+
+    def test_suite_runner_flags_are_gone(self, capsys):
+        for flag in ("--rounds", "--fuzz-mutants", "--isolation-rounds",
+                     "--tag", "--out"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["bench", flag, "1"])
+            assert excinfo.value.code == EXIT_USAGE
+        capsys.readouterr()
 
 
-@pytest.mark.slow
-class TestIsolationBenchmark:
-    def test_pool_beats_subprocess_wall_clock(self):
-        # The pool's reason to exist, measured: the subprocess wall spawns
-        # one interpreter per file, the pool spawns two workers per batch
-        # and reuses them warm.  Over the examples/fg corpus the pool must
-        # win on wall-clock, not just in principle.
-        rows = regress.isolation_benchmark_rows(rounds=2)
-        medians = {row["name"]: row["median_s"] for row in rows}
-        assert set(medians) == {
-            "batch.isolate_subprocess", "batch.isolate_pool",
-        }
-        assert medians["batch.isolate_pool"] \
-            < medians["batch.isolate_subprocess"]
+_BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
-    def test_rows_ride_the_regression_gate_shape(self):
-        rows = regress.isolation_benchmark_rows(rounds=1)
-        for row in rows:
-            assert row["group"] == "isolation"
-            assert isinstance(row["median_s"], float)
-            record = regress.build_record("t", rows)
-            assert regress.compare_records(record, record).ok
+
+@pytest.fixture
+def bench_conftest(monkeypatch):
+    """``benchmarks/conftest.py``, the bench-record writer, as a module."""
+    monkeypatch.syspath_prepend(str(_BENCHMARKS))
+    spec = importlib.util.spec_from_file_location(
+        "bench_conftest", _BENCHMARKS / "conftest.py",
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchProfile:
+    def test_timings_and_profile_come_from_the_pass_without_tracemalloc(
+        self, bench_conftest, monkeypatch,
+    ):
+        import repro.pipeline
+
+        real = repro.pipeline.check_source
+        runs = []
+
+        def recording(*args, **kwargs):
+            outcome = real(*args, **kwargs)
+            runs.append((kwargs["instrumentation"], outcome))
+            return outcome
+
+        monkeypatch.setattr(repro.pipeline, "check_source", recording)
+        snapshot = bench_conftest._instrumented_snapshot()
+        assert snapshot["ok"]
+        timed = [(i, o) for i, o in runs if i.memory is None]
+        accounted = [(i, o) for i, o in runs if i.memory is not None]
+        assert len(timed) == 1 and len(accounted) == 1
+        inst, outcome = timed[0]
+        assert snapshot["metrics"] is outcome.stats
+        assert "memory_peak_kb" not in snapshot["metrics"]
+        assert {"parse", "check", "total"} <= set(
+            snapshot["metrics"]["timings_ms"]
+        )
+        assert snapshot["spans"] == len(inst.tracer)
+        assert snapshot["memory_peak_kb"] == accounted[0][0].memory.peaks_kb()
+        assert {"parse", "check"} <= set(snapshot["memory_peak_kb"])

@@ -3,8 +3,8 @@
 ``run_chaos`` itself asserts the containment contract (termination, no
 lost results, every injected fault reported exactly once, cross-round
 determinism); these tests drive it across seeds and configurations so the
-contract is exercised on retry paths, quarantine paths, and the
-subprocess wall.
+contract is exercised on retry paths, quarantine paths, and the pool's
+process wall.
 """
 
 import pytest
@@ -52,10 +52,12 @@ def test_chaos_quarantine_path():
 
 
 @pytest.mark.slow
-def test_chaos_through_the_subprocess_wall():
+def test_chaos_through_the_pool_wall():
+    # One interpreter per attempt, so the "kill" kind's os._exit takes a
+    # real worker down every time it fires.
     files = [(f"<chaos{i}>", src) for i, src in enumerate(FUZZ_SEEDS[:2])]
     stats = run_chaos(
         rounds=1, seed=0, files=files, jobs=2,
-        deadline_ms=2_000.0, isolate="subprocess",
+        deadline_ms=2_000.0, isolate="pool", recycle_after_tasks=1,
     )
     assert stats["files"] == 2

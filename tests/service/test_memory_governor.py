@@ -11,10 +11,13 @@ Three contracts from the hardening work are pinned here:
 """
 
 import os
+from collections import Counter
 
 import pytest
 
-from repro.observability import flightrec, read_bundle, validate_bundle
+from repro.observability import (
+    Instrumentation, Tracer, flightrec, read_bundle, validate_bundle,
+)
 from repro.service import (
     BatchPolicy,
     EXIT_PARTIAL,
@@ -148,6 +151,29 @@ class TestPoolGovernor:
         assert [o.status for o in outcomes] == ["ok"] * 6
         assert stats.recycles >= 1
         # Recycling is graceful — it must never burn the respawn budget.
+        assert stats.respawns == 0
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_no_worker_process_serves_more_than_the_task_cap(self, cap):
+        # The cap binds the process: a seat marked for recycling takes no
+        # new task while another seat's recycle holds the stagger guard.
+        files = [(f"<cap{i}>", FUZZ_SEEDS[i % len(FUZZ_SEEDS)])
+                 for i in range(8)]
+        inst = Instrumentation(tracer=Tracer())
+        outcomes, stats = run_pool_batch(
+            files,
+            BatchPolicy(isolate="pool", pool_workers=2,
+                        recycle_after_tasks=cap),
+            instrumentation=inst,
+        )
+        assert [o.status for o in outcomes] == ["ok"] * 8
+        pids = Counter(
+            span.attrs["pid"] for span in inst.tracer.spans
+            if span.name == "pool.attempt"
+        )
+        assert sum(pids.values()) == 8
+        assert max(pids.values()) <= cap, pids
+        assert stats.spawned >= 8 // cap
         assert stats.respawns == 0
 
     def test_pool_memhog_trips_the_rlimit_and_recycles_the_seat(self):

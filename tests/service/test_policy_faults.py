@@ -10,6 +10,7 @@ from repro.service import (
     FAULT_WORKER_LOST,
     FaultSchedule,
     FaultSpec,
+    ISOLATION_MODES,
     RetryPolicy,
     WorkerKillSpec,
     is_retryable,
@@ -57,8 +58,10 @@ class TestBatchPolicy:
             BatchPolicy(jobs=0)
         with pytest.raises(ValueError):
             BatchPolicy(quarantine_after=0)
-        with pytest.raises(ValueError):
-            BatchPolicy(isolate="container")
+        assert ISOLATION_MODES == ("none", "pool")
+        for isolate in ("container", "subprocess"):
+            with pytest.raises(ValueError, match="isolate"):
+                BatchPolicy(isolate=isolate)
         with pytest.raises(ValueError):
             BatchPolicy(deadline_ms=0)
         with pytest.raises(ValueError):
@@ -76,7 +79,7 @@ class TestBatchPolicy:
     def test_policy_echo_is_json_stable(self):
         import json
 
-        policy = BatchPolicy(jobs=4, deadline_ms=100.0, isolate="subprocess")
+        policy = BatchPolicy(jobs=4, deadline_ms=100.0, isolate="pool")
         assert json.dumps(policy.to_json()) == json.dumps(policy.to_json())
 
     def test_policy_echo_projects_every_field(self):

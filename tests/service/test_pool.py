@@ -9,6 +9,7 @@ instead of hanging, and canonical digests are byte-identical across
 rounds.
 """
 
+import json
 import os
 import sys
 
@@ -46,6 +47,11 @@ class TestPoolBasics:
         assert [f.status for f in report.files] == ["ok"] * 5 + [
             "diagnostics"
         ]
+        # A diagnosed program crosses the process wall as a full result.
+        bad = report.files[5]
+        assert bad.severities.get("error", 0) >= 1
+        assert bad.diagnostics and bad.rendered
+        assert bad.crash is None
         assert report.pool is not None
         assert report.pool["workers"] == 2
         assert report.pool["respawns"] == 0
@@ -138,6 +144,17 @@ class TestWorkerLoss:
         first = report.files[0].attempts[0]
         assert (first.status, first.fault) == ("crash", "worker-lost")
         assert report.pool["respawns"] >= 1
+        # Without a retry the death is the file's outcome, and the
+        # worker's wait status survives into the JSON report.
+        report = check_batch(
+            [("f0.fg", TINY), ("f1.fg", BROKEN)],
+            pool_policy(retry=RetryPolicy(max_retries=0)),
+            fault_schedule=schedule,
+        )
+        assert [f.status for f in report.files] == ["crash", "diagnostics"]
+        assert report.files[0].crash.returncode == 13
+        blob = json.loads(report.canonical_json())
+        assert blob["files"][0]["crash"]["returncode"] == 13
 
     def test_budget_exhaustion_degrades_to_in_process(self):
         schedule = FaultSchedule(kills=(
@@ -224,8 +241,6 @@ class TestPoolChaos:
         assert report.files[0].attempts[0].injected == ("check:noise",)
 
     def test_canonical_json_strips_volatile_pool_counters(self):
-        import json
-
         report = check_batch(
             [("f0.fg", TINY), ("f1.fg", TINY)], pool_policy(),
         )

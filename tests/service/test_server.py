@@ -384,6 +384,24 @@ def test_malformed_requests_get_error_responses_not_death():
 
 
 @pytest.mark.slow
+def test_subprocess_isolation_override_is_an_error_frame():
+    # An isolation mode the policy does not know is refused with an
+    # error frame, and the daemon keeps serving.
+    with _Daemon() as daemon:
+        refused = check_remote(
+            daemon.socket_path, [("a.fg", GOOD)],
+            policy_overrides={"isolate": "subprocess"}, timeout=10.0,
+        )
+        assert refused["type"] == "error", refused
+        assert "isolate" in refused["message"]
+        served = check_remote(
+            daemon.socket_path, [("a.fg", GOOD)], timeout=30.0,
+        )
+        assert served["type"] == "report"
+        assert served["exit_code"] == 0
+
+
+@pytest.mark.slow
 def test_two_daemons_cannot_share_a_socket():
     with _Daemon() as daemon:
         clash = Server(BatchPolicy(isolate="pool", pool_workers=1),

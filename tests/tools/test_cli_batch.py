@@ -95,6 +95,23 @@ class TestBatchExitCodes:
         assert code == EXIT_USAGE
         assert "--isolate=pool" in err
 
+    def test_subprocess_isolation_is_usage_error(self, capsys, corpus):
+        # The pool is the one process wall.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", str(corpus / "a.fg"), "--isolate=subprocess"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.slow
+    def test_bare_isolate_runs_the_pool(self, capsys, corpus):
+        code, out, _ = run_cli(
+            capsys, "batch", str(corpus / "a.fg"), "--isolate", "--json",
+        )
+        assert code == EXIT_OK
+        blob = json.loads(out)
+        assert blob["policy"]["isolate"] == "pool"
+        assert blob["pool"] is not None and blob["pool"]["workers"] == 1
+
     def test_bad_kill_worker_spec_is_usage_error(self, capsys, corpus):
         code, _, _ = run_cli(
             capsys, "batch", str(corpus / "a.fg"),

@@ -27,11 +27,10 @@ from repro.extensions import ast
 from repro.extensions.checker import ExtChecker
 from repro.fg import ast as G
 from repro.fg.env import Env
-from repro.fg.typecheck import Prefix
+from repro.fg.typecheck import Prefix, verify_image
 from repro.syntax import parse_fg
 from repro.systemf import ast as F
 from repro.systemf import evaluate as _sf_evaluate
-from repro.systemf import type_of as _sf_type_of
 
 
 def typecheck(
@@ -85,13 +84,14 @@ def evaluate(term: G.Term, env: Optional[Env] = None, *, limits=None,
 
 def verify_translation(term: G.Term, env: Optional[Env] = None, *,
                        prefix: Optional[Prefix] = None):
-    """Theorem 1/2 check for the extended language: re-check the image
-    (the whole program's, with ``prefix``)."""
-    checker = ExtChecker()
-    with resource_scope(checker.limits, getattr(term, "span", None)):
-        fg_type, sf_term = checker.check_program(term, env, prefix)
-        sf_type = _sf_type_of(sf_term)
-    return fg_type, sf_type
+    """Theorem 1/2 check for the extended language: check ``term``, then
+    re-check the image (the whole program's, with ``prefix``) in System F
+    against the translated type (see
+    :func:`repro.fg.typecheck.verify_image`)."""
+    fg_type, sf_term = typecheck(term, env, prefix=prefix)
+    return fg_type, verify_image(
+        fg_type, sf_term, env=env, prefix=prefix, checker_cls=ExtChecker
+    )
 
 
 def check(program: str, use_prelude: bool = False) -> G.FGType:

@@ -8,9 +8,12 @@ plus dictionary parameters; member accesses become ``nth`` chains; type
 equality is the congruence closure of the equalities in scope.
 
 Theorems 1 and 2 (translation preserves well-typing) are made executable by
-:func:`verify_translation`, which re-checks the produced System F term with
-the independent checker in :mod:`repro.systemf.typecheck` and compares the
-result against the translated F_G type.
+:func:`verify_image`, which re-checks a checked program's System F image
+with the independent checker in :mod:`repro.systemf.typecheck` and compares
+the result against the translated F_G type.  The pipeline's verify stage
+runs it on the very ``(type, translation)`` its check stage produced, so the
+program is checked in F_G once; :func:`verify_translation` is the library
+form for a bare term (check, then :func:`verify_image`).
 """
 
 from __future__ import annotations
@@ -1505,23 +1508,44 @@ def verify_translation(
     term: G.Term, env: Optional[Env] = None, *,
     prefix: Optional[Prefix] = None,
 ) -> Tuple[G.FGType, F.Type]:
-    """Executable Theorems 1 and 2: translate, then independently re-check.
+    """Executable Theorems 1 and 2 on a bare term: check, then re-check.
 
-    Typechecks ``term`` in F_G, translates it, runs the *System F* checker
-    over the image, and confirms the System F type matches the translation
-    of the F_G type.  Returns the pair of types.  Raises
-    :class:`TypeError_` if any step fails — which the theorems say cannot
-    happen for well-typed input.  With ``prefix`` the image re-checked is
-    the whole program's: the prefix's translation with ``term``'s plugged
-    into its hole.
+    Typechecks and translates ``term`` (fail-fast), then runs
+    :func:`verify_image` over the result.  Returns the F_G type and the
+    System F type of the image.  Raises :class:`TypeError_` if any step
+    fails — which the theorems say cannot happen for well-typed input.
+    With ``prefix`` the image re-checked is the whole program's: the
+    prefix's translation with ``term``'s plugged into its hole.
     """
-    checker = Checker()
+    fg_type, sf_term = typecheck(term, env, prefix=prefix)
+    return fg_type, verify_image(fg_type, sf_term, env=env, prefix=prefix)
+
+
+def verify_image(
+    fg_type: G.FGType,
+    sf_term: F.Term,
+    *,
+    env: Optional[Env] = None,
+    prefix: Optional[Prefix] = None,
+    checker_cls=None,
+    limits: Optional[Limits] = None,
+) -> F.Type:
+    """Theorems 1 and 2 for one checked program: re-check its image.
+
+    ``(fg_type, sf_term)`` is what checking a program produced.  Runs the
+    independent System F checker (:mod:`repro.systemf.typecheck`) over
+    ``sf_term`` and confirms that its type is ``fg_type`` translated by
+    ``checker_cls`` (default :class:`Checker`) in the environment the
+    program was checked under: ``prefix.base`` with a prefix, else ``env``
+    (default: the initial environment).  Runs under ``limits``; returns the
+    System F type and raises :class:`TypeError_` on a mismatch.
+    """
+    checker = (checker_cls or Checker)(limits=limits)
     if prefix is not None:
         outer = prefix.base
     else:
         outer = env if env is not None else Env.initial()
-    with resource_scope(checker.limits, getattr(term, "span", None)):
-        fg_type, sf_term = checker.check_program(term, env, prefix)
+    with resource_scope(checker.limits, getattr(sf_term, "span", None)):
         sf_type = sf_typecheck.type_of(sf_term)
         expected = checker.translate_type(fg_type, outer)
     if not F.types_equal(sf_type, expected):
@@ -1529,4 +1553,4 @@ def verify_translation(
             "translation type mismatch (Theorem 1/2 violation — library "
             f"bug): System F says {sf_type}, expected {expected}"
         )
-    return fg_type, sf_type
+    return sf_type

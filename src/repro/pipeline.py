@@ -122,9 +122,12 @@ class CheckOutcome:
 
     ``term``/``type_``/``translation`` are best-effort partial results and
     are only trustworthy when ``ok``; ``value`` is set when evaluation was
-    requested and succeeded, ``verified`` when the Theorem 1/2 re-check was
-    requested and passed.  Under the prelude, ``term`` is the program as
-    written and ``translation`` the whole program's, prelude included.
+    requested and succeeded.  ``verified`` is set when the Theorem 1/2
+    check was requested and passed: ``translation`` itself — the term
+    ``evaluate`` runs — re-checks in System F at ``type_``'s translation
+    (:func:`~repro.fg.typecheck.verify_image`).  Under the prelude, ``term``
+    is the program as written and ``translation`` the whole program's,
+    prelude included.
     """
 
     report: DiagnosticReport
@@ -257,9 +260,13 @@ def _run_stages(
         return CheckOutcome(report=reporter.finish(), term=term)
 
     _maybe_fault("check")
+    from repro.fg.typecheck import verify_image
+
     if ext:
+        from repro.extensions import ExtChecker as checker_cls
         from repro.extensions import typecheck_all
     else:
+        from repro.fg.typecheck import Checker as checker_cls
         from repro.fg.typecheck import typecheck_all
     with _stage("check", tracer, timings, memory):
         prefix = None
@@ -288,11 +295,10 @@ def _run_stages(
         _maybe_fault("verify")
         try:
             with _stage("verify", tracer, timings, memory):
-                if ext:
-                    from repro.extensions import verify_translation
-                else:
-                    from repro.fg.typecheck import verify_translation
-                verify_translation(term, prefix=prefix)
+                verify_image(
+                    type_, translation, prefix=prefix,
+                    checker_cls=checker_cls, limits=limits,
+                )
             verified = True
         except Diagnostic as err:
             reporter.error(err)

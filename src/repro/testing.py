@@ -26,7 +26,7 @@ digests are identical across rounds *and* across the crash boundary.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.diagnostics.errors import Diagnostic, TypeError_
 from repro.diagnostics.limits import Limits
@@ -165,6 +165,21 @@ def mutate_source(source: str, rng: random.Random) -> str:
     return source[:start] + junk[: end - start] + source[end:]
 
 
+def fuzz_mutants(mutants: int, seed: int = 0) -> Iterator[str]:
+    """The ``mutants`` corrupted programs :func:`run_fuzz` checks, in order.
+
+    Mutant ``k`` corrupts ``FUZZ_SEEDS[k % len(FUZZ_SEEDS)]`` with one to
+    three stacked :func:`mutate_source` edits; deterministic for a given
+    ``(mutants, seed)``.
+    """
+    rng = random.Random(seed)
+    for k in range(mutants):
+        mutant = mutate_source(FUZZ_SEEDS[k % len(FUZZ_SEEDS)], rng)
+        for _ in range(rng.randrange(3)):  # 0-2 extra stacked mutations
+            mutant = mutate_source(mutant, rng)
+        yield mutant
+
+
 def run_fuzz(
     mutants: int = 500,
     seed: int = 0,
@@ -193,18 +208,13 @@ def run_fuzz(
 
     from repro.pipeline import check_source
 
-    rng = random.Random(seed)
     if limits is None:
         # Tight budgets keep pathological mutants fast while still proving
         # they surface as ResourceLimitError diagnostics.
         limits = Limits(max_check_depth=500, max_eval_steps=200_000)
     stats: Dict[str, object] = {"mutants": 0, "ok": 0, "diagnosed": 0}
     digest = hashlib.sha256()
-    for k in range(mutants):
-        base = FUZZ_SEEDS[k % len(FUZZ_SEEDS)]
-        mutant = mutate_source(base, rng)
-        for _ in range(rng.randrange(3)):  # 0-2 extra stacked mutations
-            mutant = mutate_source(mutant, rng)
+    for k, mutant in enumerate(fuzz_mutants(mutants, seed)):
         instrumentation = None
         if trace:
             from repro.observability import (

@@ -49,6 +49,20 @@ class TestDepthBudget:
         t, _ = typecheck(parse_fg(src))
         assert str(t) == "int"
 
+    def test_verify_runs_under_the_callers_depth_budget(self):
+        # 4,500 nested lets exceed the default depth budget (4,000); a
+        # caller that raised it must get a verified program, not a verify
+        # stage that falls back to the default.
+        n = 4_500
+        src = "".join(f"let x{i} = iadd(1, 2) in " for i in range(n)) + "x0"
+        outcome = check_source(
+            src, limits=Limits(max_check_depth=20_000),
+            verify=True, evaluate=True,
+        )
+        assert outcome.ok, outcome.report.render()
+        assert outcome.verified
+        assert outcome.value == 3
+
     def test_budget_counter_stays_consistent_after_trip(self):
         budget = Budget(Limits(max_check_depth=2))
         budget.enter_depth()

@@ -101,3 +101,18 @@ class TestNearLinearShape:
         s.merge(G.TVar("a0"), G.INT)
         result = benchmark(lambda: s.representative(G.TVar("a400")))
         assert result == G.INT
+
+    def test_representative_repeated(self, benchmark):
+        # The checker asks for the same classes' representatives over and
+        # over between merges; each class is extracted once.
+        s = CongruenceSolver()
+        for left, right in _assoc_equalities(256):
+            s.merge(left, right)
+        queries = [G.TAssoc("It", (G.TVar(f"a{i}"),), "elt") for i in range(8)]
+        queries += [_deep_type(8, G.TVar(f"e{i}")) for i in range(8)]
+
+        def run():
+            return [s.representative(t) for t in queries for _ in range(8)]
+
+        result = benchmark(run)
+        assert result[0] == G.TVar("e0")

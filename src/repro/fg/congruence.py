@@ -69,6 +69,8 @@ class CongruenceSolver:
         self._sigtab: Dict[tuple, int] = {}
         self._opaque: Dict[int, G.FGType] = {}
         self._equalities: List[Tuple[G.FGType, G.FGType]] = []
+        # Top-level representative per class root; cleared by every merge.
+        self._reps: Dict[int, G.FGType] = {}
 
     # -- union-find ---------------------------------------------------------
 
@@ -145,6 +147,7 @@ class CongruenceSolver:
     def _merge(self, a: G.FGType, b: G.FGType) -> None:
         metrics = self._metrics
         self._equalities.append((a, b))
+        self._reps.clear()
         worklist = [(self.intern(a), self.intern(b))]
         while worklist:
             x, y = worklist.pop()
@@ -198,11 +201,18 @@ class CongruenceSolver:
         Deterministic: minimal externalization cost, ties broken by node
         creation order.  Raises :class:`TypeError_` if the class is only
         expressible cyclically (e.g. after merging ``t`` with ``list t``).
+
+        Each class's result is computed once and kept until the next merge.
+        That is sound because a class changes only in a merge: interning
+        after a merge only adds singleton classes.
         """
-        node = self.intern(t)
-        rep = self._externalize(self._find(node), {})
+        root = self._find(self.intern(t))
+        rep = self._reps.get(root)
         if rep is None:
-            raise TypeError_(f"cyclic type equality involving {t}")
+            rep = self._externalize(root, {})
+            if rep is None:
+                raise TypeError_(f"cyclic type equality involving {t}")
+            self._reps[root] = rep
         return rep
 
     def _externalize(

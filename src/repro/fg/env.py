@@ -207,25 +207,33 @@ class SolverCache:
 
     Environments are persistent and equalities grow monotonically within a
     scope, so many checker steps share one equality set; building the solver
-    once per distinct set keeps checking near-linear in practice.
+    once per distinct set keeps checking near-linear in practice.  Runs of
+    queries usually pass the very same tuple, so the last key is tested by
+    identity first: a tuple of type pairs re-hashes every element on each
+    dict lookup.
     """
 
     def __init__(self, max_nodes: Optional[int] = None, *,
                  metrics=None, tracer=None):
         self._cache: Dict[tuple, CongruenceSolver] = {}
+        self._last_key: Optional[tuple] = None
+        self._last_solver: Optional[CongruenceSolver] = None
         self._max_nodes = max_nodes
         self._metrics = metrics
         self._tracer = tracer
 
     def solver(self, env: Env) -> CongruenceSolver:
         key = env.equalities
-        solver = self._cache.get(key)
-        if solver is None:
-            solver = solver_for_equalities(
-                key, self._max_nodes,
-                metrics=self._metrics, tracer=self._tracer,
-            )
-            self._cache[key] = solver
+        if key is not self._last_key:
+            solver = self._cache.get(key)
+            if solver is None:
+                solver = self._cache[key] = solver_for_equalities(
+                    key, self._max_nodes,
+                    metrics=self._metrics, tracer=self._tracer,
+                )
+            elif self._metrics is not None:
+                self._metrics.inc("congruence.cache_hits")
+            self._last_key, self._last_solver = key, solver
         elif self._metrics is not None:
             self._metrics.inc("congruence.cache_hits")
-        return solver
+        return self._last_solver

@@ -13,12 +13,17 @@ addition, designed to read like the paper's listings:
 Comments are ``//`` to end of line and ``/* ... */`` (non-nesting).  Note the
 lexer must disambiguate ``/*``, ``//``, and the type-abstraction lambda
 ``/\\``.
+
+One compiled pattern (``_TOKEN``) finds every token, comment and run of
+whitespace in a single scan.  A token records only the two offsets of its
+text; its span resolves them to line and column the first time a reader
+asks, which in practice means only when a diagnostic is rendered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Set
+import re
+from typing import List, NamedTuple, Optional, Set
 
 from repro.diagnostics.errors import LexError
 from repro.diagnostics.source import SourceText, Span
@@ -75,8 +80,7 @@ KEYWORDS: Set[str] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A lexical token: ``kind`` is a symbol, keyword, 'IDENT', 'NUMBER', or 'EOF'."""
 
     kind: str
@@ -87,83 +91,93 @@ class Token:
         return f"{self.kind}({self.text!r})"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+#: One alternative per token class, tried in order at each offset.  Skipped
+#: text (whitespace, ``//`` and closed ``/* */`` comments) has no group;
+#: ``open`` is an unterminated block comment, which runs to the end of
+#: input.  ``NUMBER`` takes decimal digits only (``\d``, what :func:`int`
+#: accepts), so a superscript ``²`` is an unexpected character.  An
+#: identifier that starts with an ASCII letter or ``_`` is matched here;
+#: any other character falls to ``other``, where :func:`tokenize` applies
+#: ``str.isalpha`` to decide whether it starts an identifier.
+_TOKEN = re.compile(
+    r"[ \t\r\n]+|//[^\n]*|/\*.*?\*/"
+    r"|(?P<open>/\*.*)"
+    r"|(?P<NUMBER>-?\d+)"
+    r"|(?P<IDENT>[A-Za-z_][\w']*)"
+    rf"|(?P<symbol>{'|'.join(map(re.escape, SYMBOLS))})"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
 
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in ("_", "'")
+#: The rest of an identifier: ``str.isalnum`` characters (``\w``), ``_``
+#: and ``'``.
+_IDENT_REST = re.compile(r"[\w']*")
 
 
 def tokenize(source: SourceText, reporter=None) -> List[Token]:
     """Tokenize ``source``; raises :class:`LexError` on malformed input.
+
+    Each token's span holds offsets only; its line and column are computed
+    when first read (see :class:`repro.diagnostics.source.Span`).
 
     With a :class:`repro.diagnostics.DiagnosticReporter`, lex errors are
     recorded and the offending characters skipped, so one bad byte does not
     hide every token after it (error *recovery* mode).
     """
     text = source.text
-    n = len(text)
-    pos = 0
+    span = source.span
+    keywords = KEYWORDS
     tokens: List[Token] = []
-    while pos < n:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
-            continue
-        if text.startswith("//", pos):
-            end = text.find("\n", pos)
-            pos = n if end == -1 else end + 1
-            continue
-        if text.startswith("/*", pos):
-            end = text.find("*/", pos + 2)
-            if end == -1:
-                err = LexError(
-                    "unterminated block comment", source.span(pos, pos + 2)
-                ).attach_source(source)
-                if reporter is None:
-                    raise err
-                reporter.error(err)
-                pos = n
+    append = tokens.append
+    pos = 0
+    while True:
+        # Restarted only after an identifier that begins with a non-ASCII
+        # letter, whose tail the master pattern has not consumed.
+        for m in _TOKEN.finditer(text, pos):
+            kind = m.lastgroup
+            if kind is None:
                 continue
-            pos = end + 2
-            continue
-        if ch.isdigit() or (
-            ch == "-" and pos + 1 < n and text[pos + 1].isdigit()
-        ):
-            start = pos
-            pos += 1
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            tokens.append(
-                Token("NUMBER", text[start:pos], source.span(start, pos))
-            )
-            continue
-        if _is_ident_start(ch):
-            start = pos
-            while pos < n and _is_ident_char(text[pos]):
-                pos += 1
-            word = text[start:pos]
-            kind = word if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, source.span(start, pos)))
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, pos):
-                tokens.append(
-                    Token(sym, sym, source.span(pos, pos + len(sym)))
+            word = m.group()
+            start, end = m.span()
+            if kind == "IDENT":
+                if word in keywords:
+                    kind = word
+            elif kind == "symbol":
+                kind = word
+            elif kind == "other":
+                if word.isalpha():
+                    pos = _IDENT_REST.match(text, end).end()
+                    word = text[start:pos]
+                    append(Token(
+                        word if word in keywords else "IDENT", word,
+                        span(start, pos),
+                    ))
+                    break
+                _lex_error(
+                    f"unexpected character {word!r}", span(start, end),
+                    source, reporter,
                 )
-                pos += len(sym)
-                break
+                continue
+            elif kind == "open":
+                _lex_error(
+                    "unterminated block comment", span(start, start + 2),
+                    source, reporter,
+                )
+                continue
+            append(Token(kind, word, span(start, end)))
         else:
-            err = LexError(
-                f"unexpected character {ch!r}", source.span(pos, pos + 1)
-            ).attach_source(source)
-            if reporter is None:
-                raise err
-            reporter.error(err)
-            pos += 1
-    tokens.append(Token("EOF", "", source.span(n, n)))
+            break
+    n = len(text)
+    append(Token("EOF", "", span(n, n)))
     return tokens
+
+
+def _lex_error(message: str, where: Span, source: SourceText,
+               reporter) -> None:
+    err = LexError(message, where).attach_source(source)
+    if reporter is None:
+        raise err
+    reporter.error(err)
 
 
 class TokenStream:
@@ -171,12 +185,13 @@ class TokenStream:
 
     def __init__(self, tokens: List[Token], source: SourceText):
         self._tokens = tokens
+        self._last = len(tokens) - 1
         self._pos = 0
         self.source = source
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        index = self._pos + offset
+        return self._tokens[index if index < self._last else self._last]
 
     def at(self, *kinds: str) -> bool:
         return self.peek().kind in kinds

@@ -1,6 +1,8 @@
 """Unit tests for the congruence-closure type-equality engine (section 5)."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.diagnostics.errors import TypeError_
 from repro.fg import ast as G
@@ -200,3 +202,106 @@ class TestSolverForEqualities:
     def test_empty(self):
         s = solver_for_equalities(())
         assert not s.equal(A, B)
+
+
+class _Unmemoized(CongruenceSolver):
+    """The solver with ``representative`` extracting afresh on every call."""
+
+    def representative(self, t):
+        rep = self._externalize(self._find(self.intern(t)), {})
+        if rep is None:
+            raise TypeError_(f"cyclic type equality involving {t}")
+        return rep
+
+
+_leaves = st.one_of(
+    st.sampled_from(["a", "b", "c", "d"]).map(G.TVar),
+    st.just(INT),
+    st.just(BOOL),
+)
+_terms = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        inner.map(G.TList),
+        st.tuples(inner, inner).map(lambda p: G.TFn((p[0],), p[1])),
+        st.tuples(st.sampled_from(["C", "D"]), inner).map(
+            lambda p: G.TAssoc(p[0], (p[1],), "s")
+        ),
+    ),
+    max_leaves=6,
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("merge"), _terms, _terms),
+        st.tuples(st.just("intern"), _terms),
+        st.tuples(st.just("rep"), _terms),
+    ),
+    max_size=25,
+)
+
+
+def _replay(solver, ops):
+    """Apply ``ops``; the result of every ``rep`` op, in order."""
+    seen = []
+    for op, *args in ops:
+        if op == "merge":
+            solver.merge(*args)
+        elif op == "intern":
+            solver.intern(*args)
+        else:
+            try:
+                seen.append(solver.representative(*args))
+            except TypeError_:
+                seen.append(TypeError_)
+    return seen
+
+
+class TestRepresentativeMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(_ops, st.lists(_terms, max_size=6))
+    def test_memo_matches_fresh_extraction(self, ops, probes):
+        # The same history on a solver without the memo gives the same
+        # node numbering, hence the same tie-breaks: every answer agrees,
+        # including repeated queries after later merges and interns.
+        memo, fresh = CongruenceSolver(), _Unmemoized()
+        assert _replay(memo, ops) == _replay(fresh, ops)
+        again = [("rep", t) for t in probes] * 2
+        assert _replay(memo, again) == _replay(fresh, again)
+
+    def test_merge_after_query_changes_the_answer(self):
+        s = CongruenceSolver()
+        assert s.representative(A) == A
+        assert s.representative(G.TList(A)) == G.TList(A)
+        s.merge(A, INT)
+        assert s.representative(A) == INT
+        # ``list a`` kept its class in the merge; only its child's class
+        # changed, and its answer must follow.
+        assert s.representative(G.TList(A)) == G.TList(INT)
+
+    def test_repeated_query_is_memoized(self, monkeypatch):
+        s = CongruenceSolver()
+        s.merge(G.TVar("elt"), assoc("Iterator", A))
+        calls = []
+        extract = s._externalize
+        monkeypatch.setattr(
+            s, "_externalize",
+            lambda root, seen: calls.append(root) or extract(root, seen),
+        )
+        for _ in range(3):
+            assert s.representative(assoc("Iterator", A)) == G.TVar("elt")
+        assert len(calls) == 1
+
+    def test_cyclic_class_raises_on_every_call(self, monkeypatch):
+        # No finite set of terms yields a class every extraction of which
+        # is cut (each class's lowest member reaches a leaf), so the cut is
+        # forced here: a failed extraction must not be remembered.
+        s = CongruenceSolver()
+        s.merge(A, G.TList(A))
+        calls = []
+        monkeypatch.setattr(
+            s, "_externalize", lambda root, seen: calls.append(root)
+        )
+        for _ in range(3):
+            with pytest.raises(TypeError_, match="cyclic type equality"):
+                s.representative(A)
+        assert len(calls) == 3

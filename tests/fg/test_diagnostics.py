@@ -43,6 +43,22 @@ class TestSourceText:
         assert merged.end.offset == 6
 
 
+    def test_offset_span_behaves_like_a_position_span(self):
+        # ``SourceText.span`` resolves positions lazily; equality, hashing,
+        # ``str``/``repr`` and ``merge`` see the same positions as a span
+        # built from them directly.
+        src = SourceText("ab\ncd", "f.fg")
+        lazy = src.span(3, 5)
+        eager = Span(Position(2, 1, 3), Position(2, 3, 5), "f.fg")
+        assert lazy == eager and hash(lazy) == hash(eager)
+        assert str(lazy) == "f.fg:2:1"
+        assert repr(src.span(3, 5)) == repr(eager)
+        assert src.span(0, 1).merge(lazy) == Span(
+            Position(1, 1, 0), Position(2, 3, 5), "f.fg"
+        )
+        assert lazy != src.span(3, 4)
+        assert lazy != Span(eager.start, eager.end, "g.fg")
+
 class TestErrorPositions:
     def test_type_error_carries_position(self):
         err = error_for("let x = 1 in\niadd(x, true)")

@@ -92,3 +92,23 @@ class TestSolverCache:
         cache = SolverCache()
         env = Env.initial().add_equality(G.TVar("a"), G.INT)
         assert cache.solver(env).equal(G.TVar("a"), G.INT)
+
+    def test_identity_and_value_hits_both_count(self):
+        # The same tuple object hits by identity; an equal tuple rebuilt
+        # elsewhere hits by value.  Both count as cache hits, and a value
+        # hit after a different key returns that key's own solver.
+        from repro.observability import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        cache = SolverCache(metrics=metrics)
+        env1 = Env.initial().add_equality(G.TVar("a"), G.INT)
+        env2 = Env.initial().add_equality(G.TVar("b"), G.BOOL)
+        twin = Env.initial().add_equality(G.TVar("a"), G.INT)
+        assert twin.equalities is not env1.equalities
+        s1, s2 = cache.solver(env1), cache.solver(env2)
+        assert cache.solver(env2) is s2
+        assert cache.solver(twin) is s1
+        assert cache.solver(env1) is s1
+        counters = metrics.snapshot()["counters"]
+        assert counters["congruence.solvers"] == 2
+        assert counters["congruence.cache_hits"] == 3

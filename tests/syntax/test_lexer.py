@@ -30,6 +30,30 @@ class TestTokens:
     def test_numbers(self):
         assert texts("0 42 -7") == ["0", "42", "-7"]
 
+    def test_numbers_take_decimal_digits(self):
+        # Any Unicode decimal digit is a digit (``int`` accepts it) ...
+        assert texts("\u0663\u0664 -\u0663") == ["\u0663\u0664", "-\u0663"]
+        assert int(texts("\u0663")[0]) == 3
+
+    def test_superscript_digit_is_not_a_number(self):
+        # ... but ``²`` (``str.isdigit``, not decimal) is not: it used to
+        # start a NUMBER token that crashed the parser's ``int``.
+        with pytest.raises(LexError) as excinfo:
+            tokenize(SourceText("let x = 1\u00b2 in x"))
+        assert excinfo.value.message == "unexpected character '\u00b2'"
+        assert excinfo.value.span.start.column == 10
+        with pytest.raises(LexError):
+            tokenize(SourceText("-\u00b2"))
+
+    def test_superscript_digit_inside_identifier(self):
+        assert texts("x\u00b2 y\u00bd") == ["x\u00b2", "y\u00bd"]
+
+    def test_non_ascii_identifiers(self):
+        assert kinds("\u00e9t\u00e9 _x \u00c9") == [
+            "IDENT", "IDENT", "IDENT", "EOF",
+        ]
+        assert texts("caf\u00e9'") == ["caf\u00e9'"]
+
     def test_negative_vs_arrow(self):
         assert kinds("-> -1") == ["->", "NUMBER", "EOF"]
 
@@ -83,6 +107,30 @@ class TestErrorsAndSpans:
         assert tokens[0].span.start.line == 1
         assert tokens[1].span.start.line == 2
         assert tokens[1].span.start.column == 3
+
+    def test_form_feed_is_not_whitespace(self):
+        with pytest.raises(LexError):
+            tokenize(SourceText("a\fb"))
+
+    def test_spans_hold_offsets(self):
+        tokens = tokenize(SourceText("ab\n  cd"))
+        assert [(t.span.start.offset, t.span.end.offset) for t in tokens] == [
+            (0, 2), (5, 7), (7, 7),
+        ]
+        assert str(tokens[1].span) == "<input>:2:3"
+
+    def test_recovery_reports_every_bad_character(self):
+        from repro.diagnostics import DiagnosticReporter
+
+        reporter = DiagnosticReporter()
+        tokens = tokenize(SourceText("a @ b # c /* open"), reporter)
+        assert [t.text for t in tokens] == ["a", "b", "c", ""]
+        messages = [d.message for d in reporter.finish()]
+        assert messages == [
+            "unexpected character '@'",
+            "unexpected character '#'",
+            "unterminated block comment",
+        ]
 
     def test_span_excerpt_renders(self):
         source = SourceText("let x = oops in x")

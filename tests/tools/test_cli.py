@@ -152,6 +152,18 @@ class TestExitCodeContract:
         assert code == EXIT_DIAGNOSTICS
         assert "resource limit" in err
 
+    def test_superscript_digit_is_a_lex_diagnostic(self, capsys, tmp_path):
+        # ``²`` is a digit to ``str.isdigit`` but not to ``int``: it must be
+        # a positioned lex error, not an internal error from the parser.
+        path = tmp_path / "sup.fg"
+        path.write_text("let x = 1\u00b2 in x")
+        code, _, err = run_cli(capsys, "check", str(path))
+        assert code == EXIT_DIAGNOSTICS
+        assert err.splitlines()[0] == (
+            f"{path}:1:10: lex error: unexpected character '\u00b2'"
+        )
+        assert "internal error" not in err
+
     def test_bad_max_errors_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["check", "--max-errors", "0", "-e", "1"])

@@ -52,16 +52,6 @@ class TVar(Type):
         return self.name
 
 
-@dataclass(frozen=True)
-class TNamed(Type):
-    """A user-declared opaque struct type."""
-
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
 INT = TInt()
 BOOL = TBool()
 

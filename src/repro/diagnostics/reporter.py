@@ -138,10 +138,6 @@ class DiagnosticReporter:
         self.emit(diag, "note")
 
     @property
-    def error_count(self) -> int:
-        return self._error_count
-
-    @property
     def at_limit(self) -> bool:
         return self._error_count >= self.max_errors
 

@@ -66,7 +66,6 @@ from repro.observability.telemetry import (
     ServerTelemetry,
     WindowReservoir,
     clock_offset_ns,
-    fold_worker_flightrec,
     graft_spans,
     merge_worker_telemetry,
     read_ops_log,
@@ -141,7 +140,6 @@ __all__ = [
     "chrome_trace_json",
     "clock_offset_ns",
     "flight_recorder",
-    "fold_worker_flightrec",
     "format_profile",
     "format_span",
     "graft_spans",

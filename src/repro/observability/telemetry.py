@@ -147,6 +147,7 @@ def merge_worker_telemetry(
     span_name: str = "worker.attempt",
     parent: Optional[Span] = None,
     attrs: Optional[Dict[str, object]] = None,
+    ring: bool = True,
 ) -> None:
     """Fold one result frame's telemetry into coordinator instrumentation.
 
@@ -156,6 +157,9 @@ def merge_worker_telemetry(
     *completed* task merged at result time, nothing hostage to the worker
     process), re-append explain entries, and graft the span tree under a
     synthetic ``span_name`` span covering the dispatch..receive bracket.
+    ``ring=False`` keeps that bracket span out of the flight recorder (the
+    pool supervisor records every attempt's bracket there itself); the
+    grafted worker spans are recorded either way.
     """
     if not telemetry or instrumentation is None:
         return
@@ -174,6 +178,7 @@ def merge_worker_telemetry(
         span_attrs.setdefault("pid", pid)
     attempt = tracer.adopt(
         span_name, send_ns, recv_ns, parent=parent, attrs=span_attrs,
+        ring=ring,
     )
     spans = telemetry.get("spans")
     if not spans:
@@ -190,54 +195,6 @@ def merge_worker_telemetry(
         tracer, spans, offset_ns=offset, parent=attempt,
         clamp=(send_ns, recv_ns), extra_attrs=extra,
     )
-
-
-def fold_worker_flightrec(
-    rec,
-    wire: Optional[Dict[str, object]],
-    *,
-    send_ns: Optional[int] = None,
-    recv_ns: Optional[int] = None,
-) -> int:
-    """Fold a worker's shipped flight-recorder tail into a coordinator
-    :class:`~repro.observability.flightrec.FlightRecorder`.
-
-    Result frames carry a ``flightrec`` stanza (last few spans and ops
-    events plus the worker's ``clock_ns``); the supervisor keeps the most
-    recent stanza per seat so that when the worker later dies it still
-    has the dead process's final execution state.  Timestamps are
-    normalized with the same midpoint bracket :func:`clock_offset_ns`
-    uses for grafted spans — ``clock_ns`` was taken at ship time, so the
-    dispatch..receive bracket of the frame that carried it bounds the
-    worker clock sample on the coordinator timeline.  Returns the number
-    of ring entries folded.
-    """
-    if not wire or rec is None:
-        return 0
-    offset = 0
-    clock = wire.get("clock_ns")
-    if clock is not None and send_ns is not None and recv_ns is not None:
-        offset = clock_offset_ns(send_ns, recv_ns, int(clock), int(clock))
-    pid = wire.get("pid")
-    folded = 0
-    for span in wire.get("spans") or ():
-        attrs = dict(span.get("attrs") or {})
-        if pid is not None:
-            attrs.setdefault("worker_pid", pid)
-        rec.record_span(
-            str(span.get("name", "?")),
-            int(span.get("start_ns", 0)) + offset,
-            int(span.get("end_ns", span.get("start_ns", 0))) + offset,
-            attrs,
-        )
-        folded += 1
-    for event in wire.get("ops") or ():
-        record = dict(event)
-        if pid is not None:
-            record.setdefault("worker_pid", pid)
-        rec.record_event(record)
-        folded += 1
-    return folded
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,8 @@ class Tracer:
 
     def adopt(self, name: str, start_ns: int, end_ns: int, *,
               parent: Optional[Span] = None,
-              attrs: Optional[Dict[str, object]] = None) -> Span:
+              attrs: Optional[Dict[str, object]] = None,
+              ring: bool = True) -> Span:
         """Record an already-timed span (cross-process telemetry stitching).
 
         Unlike :meth:`span`, the caller supplies both timestamps and an
@@ -135,6 +136,8 @@ class Tracer:
         or as a new root).  The open-span stack is never touched — adopted
         spans are history, not dynamic scope — so grafting a worker's span
         tree cannot disturb live ``with tracer.span(...)`` nesting.
+        ``ring=False`` keeps the span out of the flight recorder, for a
+        caller that records the same interval there itself.
         """
         if parent is None:
             parent = self._stack[-1] if self._stack else None
@@ -148,7 +151,8 @@ class Tracer:
         else:
             self.roots.append(span)
         self._spans.append(span)
-        _flightrec_span(name, span.start_ns, span.end_ns, span.attrs)
+        if ring:
+            _flightrec_span(name, span.start_ns, span.end_ns, span.attrs)
         return span
 
     def _finish(self, span: Span) -> None:
@@ -162,12 +166,6 @@ class Tracer:
                 return
             if top.end_ns is None:
                 top.end_ns = span.end_ns
-
-    @property
-    def current(self) -> Optional[Span]:
-        """The innermost open span, or ``None`` (cross-process dispatch
-        stamps its id on task frames as the worker's logical parent)."""
-        return self._stack[-1] if self._stack else None
 
     @property
     def spans(self) -> List[Span]:
@@ -203,11 +201,8 @@ class NullTracer:
     def span(self, name: str, /, **attrs) -> _NullHandle:
         return _NULL_HANDLE
 
-    def adopt(self, name, start_ns, end_ns, *, parent=None, attrs=None):
-        return None
-
-    @property
-    def current(self):
+    def adopt(self, name, start_ns, end_ns, *, parent=None, attrs=None,
+              ring=True):
         return None
 
     @property

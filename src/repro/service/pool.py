@@ -37,7 +37,6 @@ across rounds.  Scheduling-dependent counters (``steals``,
 from __future__ import annotations
 
 import collections
-import itertools
 import os
 import selectors
 import subprocess
@@ -46,11 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.observability import (
-    NULL_TRACER,
-    fold_worker_flightrec,
-    merge_worker_telemetry,
-)
+from repro.observability import NULL_TRACER, merge_worker_telemetry
 from repro.observability import flightrec
 from repro.service import proto
 from repro.service.faults import (
@@ -77,15 +72,6 @@ _FAULT_KIND = {
     "crash": FAULT_CRASH,
     "memory": FAULT_MEMORY,
 }
-
-#: Monotonic suffix for trace ids: unique per supervisor within a process,
-#: combined with the pid for cross-process uniqueness.  Never enters the
-#: canonical report JSON, so determinism guarantees are unaffected.
-_TRACE_SEQ = itertools.count(1)
-
-
-def _new_trace_id() -> str:
-    return f"{os.getpid():x}-{next(_TRACE_SEQ):x}"
 
 #: Grace past the cooperative deadline before the supervisor hard-kills a
 #: worker: half the deadline, floored and capped.  Wide enough that a
@@ -232,8 +218,7 @@ class _WorkerSlot:
 
     __slots__ = ("slot", "proc", "task_w", "result_r", "reader", "queue",
                  "current", "warmed", "last_beat", "retired", "tasks_done",
-                 "last_flightrec", "last_flightrec_ns", "rss_bytes",
-                 "tasks_since_spawn", "recycle_pending")
+                 "rss_bytes", "tasks_since_spawn", "recycle_pending")
 
     def __init__(self, slot: int):
         self.slot = slot
@@ -252,12 +237,6 @@ class _WorkerSlot:
         self.last_beat = 0.0
         self.retired = False
         self.tasks_done = 0
-        # The occupant's most recent flight-recorder stanza (shipped on
-        # every result frame) and the dispatch..receive ns bracket of the
-        # frame that carried it — the dead process's black box when this
-        # seat later suffers a worker-lost or deadline kill.
-        self.last_flightrec: Optional[Dict[str, object]] = None
-        self.last_flightrec_ns: Optional[Tuple[int, int]] = None
         # Resource-governor state for the occupant: its last self-sampled
         # RSS (from heartbeat frames), how many tasks this *process* has
         # completed (tasks_done is per-seat and survives respawns), and
@@ -390,15 +369,8 @@ class _Supervisor:
             instrumentation.tracer if instrumentation is not None else tracer
         )
         self.ops = ops
-        # The telemetry stanza stamped on every dispatched task frame; the
-        # per-dispatch parent-span id is added in _dispatch.
-        self.trace_id = (
-            _new_trace_id()
-            if getattr(self.tracer, "enabled", False) else None
-        )
-        self._telemetry = telemetry_request(
-            instrumentation, trace_id=self.trace_id,
-        )
+        # The telemetry stanza stamped on every dispatched task frame.
+        self._telemetry = telemetry_request(instrumentation)
         self.hang_s = schedule.hang_s if schedule is not None else 0.5
         self.check_kwargs = {
             "prelude": policy.prelude,
@@ -461,23 +433,15 @@ class _Supervisor:
         if self.ops is not None:
             self.ops.emit(event, **fields)
 
-    def _dump_crash(self, kind: str, detail: Dict[str, object],
-                    slot: Optional[_WorkerSlot] = None) -> None:
+    def _dump_crash(self, kind: str, detail: Dict[str, object]) -> None:
         """Write a crash bundle for a pool fault (advisory; no crash dir
-        configured → no-op).  The dead worker's last shipped flight ring
-        is folded into the coordinator recorder first — clock-normalized
-        through the dispatch..receive bracket that carried it — so the
-        bundle holds the dead *process's* final spans and ops events,
-        not just the supervisor's view."""
+        configured → no-op).  The bundle's span ring is this supervisor's
+        own: one ``pool.attempt`` span per attempt it has resolved
+        (:meth:`_finish_attempt`), so a dead worker's completed files are
+        there without the worker having shipped anything, and a loss or
+        deadline kill, resolved before its dump, ends the ring."""
         if flightrec.bundle_directory() is None:
             return
-        if slot is not None and slot.last_flightrec:
-            send_ns, recv_ns = slot.last_flightrec_ns or (None, None)
-            fold_worker_flightrec(
-                flightrec.recorder(), slot.last_flightrec,
-                send_ns=send_ns, recv_ns=recv_ns,
-            )
-            slot.last_flightrec = None  # folded once, never duplicated
         flightrec.dump(kind, detail, context={
             "pool": self.stats.to_json(),
             "policy": self.policy.to_json(),
@@ -571,21 +535,16 @@ class _Supervisor:
             if self.schedule is not None else ()
         )
         injected = tuple(spec.tag for spec in specs)
-        telemetry = self._telemetry
-        if telemetry is not None and self.trace_id is not None:
-            parent = self.tracer.current
-            if parent is not None:
-                telemetry = dict(telemetry, parent_span=parent.id)
         frame = task_payload(
             task.text, task.filename, self.check_kwargs,
             self.serialized_ambient, specs, self.hang_s,
-            telemetry=telemetry,
+            telemetry=self._telemetry,
         )
         frame["type"] = "task"
         frame["id"] = task.index
         frame["attempt"] = task.attempt
         # (task, injected tags, monotonic dispatch instant for deadlines,
-        #  perf_counter_ns dispatch instant for trace stitching).
+        #  perf_counter_ns dispatch instant for the attempt's span).
         slot.current = (task, injected, time.monotonic(),
                         time.perf_counter_ns())
         kill = self._pending_kill(task.index, task.attempt)
@@ -660,9 +619,28 @@ class _Supervisor:
 
     # -- attempt resolution -------------------------------------------------
 
-    def _finish_attempt(self, task: _TaskState, result: AttemptResult,
-                        injected: Tuple[str, ...],
+    def _finish_attempt(self, slot: Optional[_WorkerSlot], current: tuple,
+                        result: AttemptResult, *,
+                        end_ns: Optional[int] = None,
                         fault_override: Optional[str] = None) -> None:
+        """Resolve the attempt ``current`` (a ``slot.current`` tuple) ran
+        on ``slot`` (``None`` for a degraded in-process attempt).
+
+        Every attempt the supervisor resolves leaves one ``pool.attempt``
+        span in the always-on flight ring, timed by the supervisor's own
+        dispatch..receive bracket (``end_ns``) or dispatch..loss bracket,
+        traced or not: a crash bundle written after a worker dies holds
+        the files that worker completed without it shipping anything.
+        """
+        task, injected, _t0, send_ns = current
+        proc = slot.proc if slot is not None else None
+        flightrec.record_span(
+            "pool.attempt", send_ns,
+            end_ns if end_ns is not None else time.perf_counter_ns(),
+            {"file": task.filename, "attempt": task.attempt,
+             "slot": slot.slot if slot is not None else None,
+             "pid": proc.pid if proc is not None else os.getpid()},
+        )
         if result.status == "timeout":
             # Both timeout paths — worker-cooperative and supervisor kill —
             # must produce identical records, so drop the partial report a
@@ -690,15 +668,9 @@ class _Supervisor:
         self._close_slot(slot)
         self.stats.worker_lost += 1
         self._emit("worker-lost", slot=slot.slot, returncode=returncode)
-        self._dump_crash("worker-lost", {
-            "slot": slot.slot,
-            "returncode": returncode,
-            "file": slot.current[0].filename if slot.current else None,
-        }, slot=slot)
         current, slot.current = slot.current, None
         if current is not None:
-            task, injected, t0, _send_ns = current
-            duration_ms = round((time.monotonic() - t0) * 1e3, 3)
+            duration_ms = round((time.monotonic() - current[2]) * 1e3, 3)
             result = AttemptResult(
                 status="crash",
                 crash=CrashReport(
@@ -709,8 +681,15 @@ class _Supervisor:
                 ),
                 duration_ms=duration_ms,
             )
-            self._finish_attempt(task, result, injected,
+            self._finish_attempt(slot, current, result,
                                  fault_override=FAULT_WORKER_LOST)
+        # Dumped after the resolution, so the bundle's ring ends with the
+        # lost attempt's own pool.attempt span.
+        self._dump_crash("worker-lost", {
+            "slot": slot.slot,
+            "returncode": returncode,
+            "file": current[0].filename if current is not None else None,
+        })
         self._respawn_or_retire(slot)
 
     def _deadline_kill(self, slot: _WorkerSlot) -> None:
@@ -723,20 +702,20 @@ class _Supervisor:
         self.stats.deadline_kills += 1
         self._emit("deadline-kill", slot=slot.slot,
                    file=slot.current[0].filename)
-        self._dump_crash("deadline-kill", {
-            "slot": slot.slot,
-            "file": slot.current[0].filename,
-            "deadline_ms": self.policy.deadline_ms,
-        }, slot=slot)
         slot.proc.kill()
         self._reap(slot)
         self._close_slot(slot)
-        (task, injected, t0, _send_ns), slot.current = slot.current, None
-        duration_ms = round((time.monotonic() - t0) * 1e3, 3)
+        current, slot.current = slot.current, None
+        duration_ms = round((time.monotonic() - current[2]) * 1e3, 3)
         self._finish_attempt(
-            task, AttemptResult(status="timeout", duration_ms=duration_ms),
-            injected,
+            slot, current,
+            AttemptResult(status="timeout", duration_ms=duration_ms),
         )
+        self._dump_crash("deadline-kill", {
+            "slot": slot.slot,
+            "file": current[0].filename,
+            "deadline_ms": self.policy.deadline_ms,
+        })
         self._respawn_or_retire(slot)
 
     # -- the read side ------------------------------------------------------
@@ -778,7 +757,8 @@ class _Supervisor:
         elif kind == "result":
             if slot.current is None:
                 return  # stale frame from a previous dispatch; drop it
-            task, injected, t0, send_ns = slot.current
+            current = slot.current
+            task, _injected, t0, send_ns = current
             if (frame.get("id") != task.index
                     or frame.get("attempt") != task.attempt):
                 return
@@ -803,18 +783,16 @@ class _Supervisor:
                     "file": task.filename,
                     "attempt": task.attempt,
                     "max_worker_mem_mb": self.policy.max_worker_mem_mb,
-                }, slot=slot)
+                })
             fallback_ms = round((time.monotonic() - t0) * 1e3, 3)
             recv_ns = time.perf_counter_ns()
-            if frame.get("flightrec"):
-                slot.last_flightrec = frame["flightrec"]
-                slot.last_flightrec_ns = (send_ns, recv_ns)
             result = result_to_attempt(
                 frame, frame.get("duration_ms", fallback_ms)
             )
             # The stitch point: merge what the worker saw — spans offset
             # into this clock, metrics, explain — the moment the result
-            # lands, so a later death of this worker loses nothing.
+            # lands, so a later death of this worker loses nothing.  The
+            # bracket span stays out of the ring: _finish_attempt records it.
             if result.telemetry is not None:
                 merge_worker_telemetry(
                     self.instrumentation, result.telemetry,
@@ -824,16 +802,10 @@ class _Supervisor:
                         "file": task.filename, "attempt": task.attempt,
                         "slot": slot.slot,
                     },
+                    ring=False,
                 )
-            self._finish_attempt(task, result, injected)
+            self._finish_attempt(slot, current, result, end_ns=recv_ns)
         elif kind == "heartbeat":
-            # Heartbeats carry the worker's flight-recorder tail too, so
-            # a worker that dies before its first result still has a
-            # black box here.  No dispatch bracket exists for a
-            # heartbeat, so its spans fold without clock normalization.
-            if frame.get("flightrec"):
-                slot.last_flightrec = frame["flightrec"]
-                slot.last_flightrec_ns = None
             rss = frame.get("rss_bytes")
             if isinstance(rss, int) and rss > 0:
                 slot.rss_bytes = rss
@@ -893,6 +865,8 @@ class _Supervisor:
                 faults = dict(self.ambient)
                 for spec in specs:
                     faults[spec.stage] = spec.materialize(self.hang_s)
+                current = (task, injected, time.monotonic(),
+                           time.perf_counter_ns())
                 result = run_attempt_thread(
                     task.text, task.filename, self.check_kwargs, faults,
                     self.policy.deadline_ms,
@@ -911,8 +885,9 @@ class _Supervisor:
                             "file": task.filename, "attempt": task.attempt,
                             "degraded": True,
                         },
+                        ring=False,
                     )
-                self._finish_attempt(task, result, injected)
+                self._finish_attempt(None, current, result)
 
     # -- shutdown -----------------------------------------------------------
 

@@ -39,8 +39,14 @@ def run_task(payload: dict) -> dict:
     outcome (or the contained crash) to the JSON-ready result shape.
     """
     from repro.diagnostics.limits import Limits
+    from repro.pipeline import check_source, install_faults
     from repro.service.faults import FaultSpec, deserialize_exception_faults
-    from repro.service.worker import build_task_instrumentation
+    from repro.service.worker import (
+        build_task_instrumentation,
+        crash_report_from_exception,
+        outcome_projection,
+        telemetry_result,
+    )
 
     limits_data = payload.get("limits")
     limits = Limits(**limits_data) if limits_data is not None else None
@@ -56,38 +62,10 @@ def run_task(payload: dict) -> dict:
     # instrumentation inside the worker; the result ships what it saw back
     # across the process boundary (wire spans + the local clock bracket
     # for offset normalization).  Absent stanza → zero overhead.
-    telemetry = payload.get("telemetry") or None
-    instrumentation = build_task_instrumentation(telemetry)
+    instrumentation = build_task_instrumentation(payload.get("telemetry"))
 
     start = time.perf_counter()
     start_ns = time.perf_counter_ns()
-    try:
-        return _run_task_inner(
-            payload, limits, faults, instrumentation, telemetry,
-            start, start_ns,
-        )
-    finally:
-        # Always-on forensics: one coarse span per task so the flight ring
-        # has worker history even with instrumentation off (the common
-        # case) — it is what ships back in the result's flightrec stanza.
-        from repro.observability import flightrec
-
-        flightrec.record_span(
-            "worker.task", start_ns, time.perf_counter_ns(),
-            {"file": payload.get("filename", "<input>"),
-             "attempt": payload.get("attempt")},
-        )
-
-
-def _run_task_inner(payload, limits, faults, instrumentation, telemetry,
-                    start, start_ns) -> dict:
-    from repro.pipeline import check_source, install_faults
-    from repro.service.worker import (
-        crash_report_from_exception,
-        outcome_projection,
-        telemetry_result,
-    )
-
     try:
         with install_faults(faults):
             outcome = check_source(
@@ -120,8 +98,7 @@ def _run_task_inner(payload, limits, faults, instrumentation, telemetry,
             "crash": crash.to_json(),
             "duration_ms": round((time.perf_counter() - start) * 1e3, 3),
             "telemetry": telemetry_result(
-                instrumentation, telemetry, start_ns,
-                time.perf_counter_ns(),
+                instrumentation, start_ns, time.perf_counter_ns(),
             ),
         }
     status, diagnostics, severities, rendered = outcome_projection(outcome)
@@ -133,7 +110,7 @@ def _run_task_inner(payload, limits, faults, instrumentation, telemetry,
         "crash": None,
         "duration_ms": round((time.perf_counter() - start) * 1e3, 3),
         "telemetry": telemetry_result(
-            instrumentation, telemetry, start_ns, time.perf_counter_ns(),
+            instrumentation, start_ns, time.perf_counter_ns(),
         ),
     }
 
@@ -179,22 +156,12 @@ def serve(task_fd: int, result_fd: int, heartbeat_ms: float,
 
     def heartbeat() -> None:
         while not stop.wait(heartbeat_ms / 1000.0):
-            # The black box also rides heartbeats, so a worker killed
-            # before its first result still leaves its ring with the
-            # supervisor.  Snapshotting races task-thread appends; a
-            # torn snapshot is dropped, never a dead heartbeat.
-            try:
-                tail = flightrec.recorder().wire_tail()
-            except RuntimeError:
-                tail = None
             message = {"type": "heartbeat", "pid": os.getpid()}
             # Self-sampled RSS rides every heartbeat so the supervisor
             # can recycle bloated workers without touching /proc itself.
             rss = sample_rss_bytes()
             if rss is not None:
                 message["rss_bytes"] = rss
-            if tail is not None:
-                message["flightrec"] = tail
             try:
                 send(message)
             except OSError:
@@ -225,10 +192,6 @@ def serve(task_fd: int, result_fd: int, heartbeat_ms: float,
                 result["type"] = "result"
                 result["id"] = frame.get("id")
                 result["attempt"] = frame.get("attempt")
-                # The worker's black box rides every result frame: when
-                # this process is later SIGKILLed mid-task, the
-                # supervisor still holds its last-known ring.
-                result["flightrec"] = flightrec.recorder().wire_tail()
                 send(result)
             elif kind == "shutdown":
                 flightrec.disarm()

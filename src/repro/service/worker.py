@@ -52,15 +52,9 @@ class AttemptResult:
     telemetry: Optional[Dict[str, object]] = None
 
 
-def telemetry_request(instrumentation, *, trace_id: Optional[str] = None,
-                      parent_span: Optional[int] = None
-                      ) -> Optional[Dict[str, object]]:
+def telemetry_request(instrumentation) -> Optional[Dict[str, object]]:
     """The task-frame telemetry stanza, or ``None`` when every channel is
     off (the common case — workers then build no instrumentation at all).
-
-    ``trace_id`` and ``parent_span`` stamp the dispatch for cross-process
-    correlation: the worker echoes the id back in its result telemetry and
-    the coordinator grafts the span tree under ``parent_span``.
     """
     if instrumentation is None:
         return None
@@ -71,10 +65,6 @@ def telemetry_request(instrumentation, *, trace_id: Optional[str] = None,
     }
     if not any(request.values()):
         return None
-    if trace_id is not None:
-        request["trace_id"] = trace_id
-    if parent_span is not None:
-        request["parent_span"] = parent_span
     return request
 
 
@@ -94,8 +84,7 @@ def build_task_instrumentation(telemetry: Optional[Dict[str, object]]):
     )
 
 
-def telemetry_result(instrumentation, telemetry: Optional[Dict[str, object]],
-                     start_ns: int, end_ns: int
+def telemetry_result(instrumentation, start_ns: int, end_ns: int
                      ) -> Optional[Dict[str, object]]:
     """Project what one attempt's instrumentation saw into the JSON-safe
     result-frame stanza (spans in wire form, metrics snapshot, explain
@@ -109,8 +98,6 @@ def telemetry_result(instrumentation, telemetry: Optional[Dict[str, object]],
         "pid": os.getpid(),
         "clock": {"start_ns": start_ns, "end_ns": end_ns},
     }
-    if telemetry and telemetry.get("trace_id") is not None:
-        out["trace_id"] = telemetry["trace_id"]
     if getattr(instrumentation.tracer, "enabled", False):
         out["spans"] = spans_to_wire(instrumentation.tracer)
     if instrumentation.metrics is not None:
@@ -228,7 +215,7 @@ def run_attempt_thread(
     duration_ms = round((time.perf_counter() - start) * 1e3, 3)
     if kind == "timeout":
         return AttemptResult(status="timeout", duration_ms=duration_ms)
-    observed = telemetry_result(instrumentation, telemetry, start_ns, end_ns)
+    observed = telemetry_result(instrumentation, start_ns, end_ns)
     if kind == "error":
         # A MemoryError is the governor's fault kind, not a generic crash:
         # the containment wall held, and the retry policy treats it as
@@ -282,7 +269,6 @@ def task_payload(
     fault_specs: Tuple[FaultSpec, ...],
     hang_s: float,
     telemetry: Optional[Dict[str, object]] = None,
-    max_mem_mb: Optional[float] = None,
 ) -> Dict[str, object]:
     """The JSON task frame the pool ships to a worker process.
 
@@ -308,7 +294,6 @@ def task_payload(
         "exception_faults": list(exception_faults),
         "fault_specs": [spec.to_json() for spec in fault_specs],
         "hang_s": hang_s,
-        "max_mem_mb": max_mem_mb,
     }
 
 

@@ -225,12 +225,6 @@ class TokenStream:
 
         raise ParseError(message, self.peek().span).attach_source(self.source)
 
-    def save(self) -> int:
-        return self._pos
-
-    def restore(self, state: int) -> None:
-        self._pos = state
-
 
 def stream(text: str, filename: str = "<input>", reporter=None) -> TokenStream:
     """Tokenize ``text`` into a :class:`TokenStream`.

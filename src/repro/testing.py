@@ -515,21 +515,28 @@ def _serve_forever(policy, options):  # pragma: no cover — forked child
     Server(policy, options).serve()
 
 
-def _read_accepted(sock, timeout: float = 10.0):
-    """Read frames off ``sock`` until one ``accepted`` arrives."""
+def _read_accepted(sock, count: int = 1,
+                   timeout: float = 10.0) -> List[Dict[str, object]]:
+    """Read frames off ``sock`` until ``count`` ``accepted`` frames arrive.
+
+    One reader serves the whole wait, so frames that arrive coalesced in
+    a single ``recv`` chunk are all seen, none dropped with a reader.
+    """
     from repro.service import proto
 
     sock.settimeout(timeout)
     reader = proto.FrameReader()
-    while True:
+    accepted: List[Dict[str, object]] = []
+    while len(accepted) < count:
         chunk = sock.recv(65536)
         if chunk == b"":
             raise AssertionError("daemon closed before accepting request")
         for frame in reader.feed(chunk):
             if frame.get("type") == "accepted":
-                return frame
-            if frame.get("type") == "error":
+                accepted.append(frame)
+            elif frame.get("type") == "error":
                 raise AssertionError(f"daemon rejected request: {frame}")
+    return accepted
 
 
 def _await_eof(sock, timeout: float) -> bool:
@@ -667,8 +674,7 @@ def run_server_chaos(
                 # other is provably still queued — its cancellation on
                 # disconnect is deterministic.
                 ghost.sendall(payload + payload)
-                _read_accepted(ghost)
-                _read_accepted(ghost)
+                _read_accepted(ghost, 2)
                 ghost.close()
                 # The orphaned in-flight request still runs to completion;
                 # wait it out so the baseline batches below don't queue

@@ -15,11 +15,17 @@ import time
 
 import pytest
 
-from repro.observability import flightrec
+from repro.observability import (
+    Instrumentation,
+    MetricsRegistry,
+    Tracer,
+    flightrec,
+)
 from repro.service import (
     BatchPolicy,
     FaultSchedule,
     FaultSpec,
+    RetryPolicy,
     ServeOptions,
     Server,
     WorkerKillSpec,
@@ -54,8 +60,8 @@ def _bundles_by_kind(directory):
 
 class TestPoolBundles:
     def test_worker_kill_dumps_schema_valid_bundle(self, crash_dir):
-        # The worker completes file 0 (its ring ships on that result),
-        # then dies at the dispatch of file 1.
+        # The worker completes file 0, then dies at the dispatch of
+        # file 1.
         schedule = FaultSchedule(kills=(WorkerKillSpec(index=1),))
         policy = BatchPolicy(isolate="pool", pool_workers=1)
         report = check_batch(
@@ -69,17 +75,17 @@ class TestPoolBundles:
         assert flightrec.validate_bundle(bundle) == []
         assert bundle["fault"]["detail"]["file"] == "b.fg"
         assert bundle["pool"] is not None
-        # The dead worker's black box: its last completed task span,
-        # clock-normalized and tagged with the worker pid.  The ring is
-        # process-global recent history, so earlier pool runs in the same
-        # process may contribute older worker spans too — the span from
-        # *this* run must be among them.
+        # The supervisor's record of the dead worker's completed attempt,
+        # tagged with the worker pid.  The ring is process-global recent
+        # history, so earlier pool runs in the same process may contribute
+        # older attempt spans too — the span from *this* run must be
+        # among them.
         spans = bundle["rings"]["spans"]
         worker_files = [
             (s.get("attrs") or {}).get("file")
             for s in spans
-            if s["name"] == "worker.task"
-            and (s.get("attrs") or {}).get("worker_pid")
+            if s["name"] == "pool.attempt"
+            and (s.get("attrs") or {}).get("pid")
         ]
         assert "a.fg" in worker_files, spans
 
@@ -126,6 +132,102 @@ class TestPoolBundles:
                              fault_schedule=schedule)
         assert report.files[0].crash is not None
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def ring():
+    """A fresh process recorder for the test; the previous one restored."""
+    rec = flightrec.FlightRecorder(capacity=1024)
+    previous = flightrec.install(rec)
+    try:
+        yield rec
+    finally:
+        flightrec.install(previous)
+
+
+class TestSupervisorRecord:
+    """Workers ship back only what the supervisor cannot see; the
+    supervisor's ring is the one record of each pool attempt."""
+
+    def test_frames_carry_no_ring_tail_or_write_only_fields(
+            self, monkeypatch):
+        from repro.service import pool, proto
+
+        received, sent = [], []
+        on_frame = pool._Supervisor._on_frame
+        write_frame_fd = proto.write_frame_fd
+
+        def spy_on_frame(self, slot, frame):
+            received.append(frame)
+            return on_frame(self, slot, frame)
+
+        def spy_write(fd, message):
+            sent.append(message)
+            return write_frame_fd(fd, message)
+
+        monkeypatch.setattr(pool._Supervisor, "_on_frame", spy_on_frame)
+        monkeypatch.setattr(proto, "write_frame_fd", spy_write)
+        # A short injected hang keeps file 0 in flight across several
+        # heartbeats; tracing puts a telemetry stanza on every task frame.
+        schedule = FaultSchedule(
+            specs=(FaultSpec(index=0, stage="check", kind="hang"),),
+            hang_s=0.3,
+        )
+        report = check_batch(
+            [("a.fg", GOOD), ("b.fg", GOOD)],
+            BatchPolicy(isolate="pool", pool_workers=1, heartbeat_ms=20.0),
+            instrumentation=Instrumentation(
+                tracer=Tracer(), metrics=MetricsRegistry(),
+            ),
+            fault_schedule=schedule,
+        )
+        assert all(f.ok for f in report.files)
+        results = [f for f in received if f.get("type") == "result"]
+        beats = [f for f in received if f.get("type") == "heartbeat"]
+        tasks = [m for m in sent if m.get("type") == "task"]
+        assert results and beats and tasks
+        for frame in results + beats:
+            assert "flightrec" not in frame, frame
+        for frame in results:
+            assert "trace_id" not in frame["telemetry"]
+        for frame in tasks:
+            assert "max_mem_mb" not in frame
+            assert "trace_id" not in frame["telemetry"]
+            assert "parent_span" not in frame["telemetry"]
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_one_pool_attempt_span_per_attempt(self, ring, traced):
+        inst = Instrumentation(tracer=Tracer()) if traced else None
+        report = check_batch(
+            [("a.fg", GOOD), ("b.fg", GOOD), ("c.fg", GOOD)],
+            BatchPolicy(isolate="pool", pool_workers=2,
+                        retry=RetryPolicy(max_retries=2)),
+            instrumentation=inst,
+            fault_schedule=FaultSchedule(kills=(WorkerKillSpec(index=1),)),
+        )
+        assert all(f.ok for f in report.files)
+        attempts = sorted(
+            (f.file, a.attempt) for f in report.files for a in f.attempts
+        )
+        assert ("b.fg", 0) in attempts  # the attempt lost to the kill
+        spans = [s for s in ring.snapshot()["spans"]
+                 if s["name"] == "pool.attempt"]
+        assert sorted(
+            (s["attrs"]["file"], s["attrs"]["attempt"]) for s in spans
+        ) == attempts
+        for span in spans:
+            attrs = span["attrs"]
+            assert set(attrs) == {"file", "attempt", "slot", "pid"}
+            assert isinstance(attrs["slot"], int)
+            assert isinstance(attrs["pid"], int)
+            assert attrs["pid"] != os.getpid()
+            assert span["end_ns"] >= span["start_ns"]
+        if traced:
+            # The trace keeps one grafted bracket per *completed* attempt;
+            # the lost one shipped nothing back to graft.
+            grafted = [s for s in inst.tracer.spans
+                       if s.name == "pool.attempt"]
+            assert len(grafted) == len(attempts) - 1
 
 
 class _Daemon:

@@ -40,3 +40,25 @@ def test_daemon_kill_resumes_to_identical_digest():
     assert out["resumed_digest"] == out["hang_digest"]
     assert out["rounds"] == 2
     assert out["kinds"] == list(SERVER_CHAOS_KINDS)
+
+
+def test_read_accepted_keeps_frames_coalesced_into_one_chunk():
+    """Both ``accepted`` frames of the client-disconnect kind can arrive
+    in a single ``recv``; the harness must count both, not drop the
+    second with a throwaway reader and then wait for it forever."""
+    import socket
+
+    from repro.service import proto
+    from repro.testing import _read_accepted
+
+    left, right = socket.socketpair()
+    try:
+        right.sendall(
+            proto.encode_frame({"type": "accepted", "id": 1})
+            + proto.encode_frame({"type": "accepted", "id": 2})
+        )
+        frames = _read_accepted(left, 2, timeout=2.0)
+    finally:
+        left.close()
+        right.close()
+    assert [frame["id"] for frame in frames] == [1, 2]
